@@ -13,8 +13,13 @@ const DefaultDistCacheSize = 1 << 12
 // overwrite-on-collision — no clocks, no lists, nothing to drift; cached and
 // uncached runs are byte-identical by construction.
 //
-// A nil *distCache is a valid, disabled cache (every get misses, put is a
-// no-op), which is the reference path for determinism tests.
+// Each slot owns its entry buffer: a miss rebuilds the distribution in place
+// in the buffer of the slot it evicts, so a warm cache allocates nothing.
+// Buffers are created on a slot's first fill, never up front.
+//
+// A nil *distCache is a valid, disabled cache (every lookup misses with a
+// nil slot, store is a no-op), which is the reference path for determinism
+// tests.
 type distCache struct {
 	slots  []distCacheSlot
 	mask   uint64
@@ -41,26 +46,41 @@ func newDistCache(size int) *distCache {
 	return &distCache{slots: make([]distCacheSlot, n), mask: uint64(n - 1)}
 }
 
-// get returns the cached distribution for the key pair, if present.
-func (c *distCache) get(k1, k2 uint64) (Dist, bool) {
+// lookup returns the slot for the key pair and whether it holds that pair.
+// On a miss the caller rebuilds the distribution into the slot's buffer
+// (entries) and records it with store. A disabled cache returns a nil slot.
+func (c *distCache) lookup(k1, k2 uint64) (*distCacheSlot, bool) {
 	if c == nil {
-		return Dist{}, false
+		return nil, false
 	}
 	s := &c.slots[(k1^k2)&c.mask]
 	if s.full && s.k1 == k1 && s.k2 == k2 {
 		c.hits++
-		return s.dist, true
+		return s, true
 	}
 	c.misses++
-	return Dist{}, false
+	return s, false
 }
 
-// put stores a distribution, evicting whatever occupied the slot.
-func (c *distCache) put(k1, k2 uint64, d Dist) {
-	if c == nil {
+// entries returns an empty buffer of capacity at least n to build a
+// distribution into: the slot's own buffer, or a fresh one when the slot has
+// none yet or s is nil (cache disabled). Reusing the buffer invalidates the
+// distribution the slot held.
+func (s *distCacheSlot) entries(n int) []TokenProb {
+	if s == nil || cap(s.dist.Entries) < n {
+		return make([]TokenProb, 0, n)
+	}
+	return s.dist.Entries[:0]
+}
+
+// store records d under the key pair, evicting the slot's previous content.
+// d.Entries must be the buffer that entries returned, never a slice another
+// model or slot owns. No-op on a nil slot.
+func (s *distCacheSlot) store(k1, k2 uint64, d Dist) {
+	if s == nil {
 		return
 	}
-	c.slots[(k1^k2)&c.mask] = distCacheSlot{k1: k1, k2: k2, full: true, dist: d}
+	*s = distCacheSlot{k1: k1, k2: k2, full: true, dist: d}
 }
 
 // stats returns cumulative (hits, misses).

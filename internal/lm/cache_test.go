@@ -94,6 +94,92 @@ func TestDraftCacheExact(t *testing.T) {
 	}
 }
 
+// TestDraftSurvivesTargetEviction pins the in-place buffer contract across
+// models. With one-slot caches every target miss refills the one target
+// buffer, so a cached draft must own its entries: an aligned draft (alpha 1)
+// that handed out, or cached, the target's entries would change under the
+// next target miss. That holds for the first fill into an empty draft slot
+// too, which must not be mistaken for a disabled cache (the only case where
+// the draft may return the target's entries as-is).
+func TestDraftSurvivesTargetEviction(t *testing.T) {
+	for _, alpha := range []float64{1, 0} {
+		target := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
+		target.SetDistCacheSize(1)
+		draft := MustDraftLM("d", target, alpha, 9)
+		draft.SetDistCacheSize(1)
+		refTarget := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
+		refTarget.SetDistCacheSize(0)
+		ref := MustDraftLM("d", refTarget, alpha, 9)
+		ref.SetDistCacheSize(0)
+		a, b := Context{ReqSeed: 1}, Context{ReqSeed: 2}
+		want := ref.Dist(a)
+		// Round 0 fills the empty draft slot; later rounds hit it.
+		for round := 0; round < 3; round++ {
+			q := draft.Dist(a)
+			if !distsEqual(q, want) {
+				t.Fatalf("alpha %g round %d: draft dist differs from the uncached reference:\n got %v\nwant %v",
+					alpha, round, q.Entries, want.Entries)
+			}
+			target.Dist(b) // evicts a's target entries, refilling the buffer
+			if !distsEqual(q, want) {
+				t.Fatalf("alpha %g round %d: draft dist changed under a target eviction:\n got %v\nwant %v",
+					alpha, round, q.Entries, want.Entries)
+			}
+		}
+		if hits, misses := draft.CacheStats(); hits != 2 || misses != 1 {
+			t.Fatalf("alpha %g: draft cache %d hits %d misses, want 2 and 1", alpha, hits, misses)
+		}
+	}
+}
+
+// TestWarmMissAllocatesNothing is the allocation gate of the miss path: once
+// every slot of both caches has been filled, a miss on a fresh context
+// rebuilds the distribution in the evicted slot's buffer, allocating nothing.
+func TestWarmMissAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	target := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
+	target.SetDistCacheSize(64)
+	draft := MustDraftLM("d", target, 0.85, 9)
+	draft.SetDistCacheSize(64)
+	seed := uint64(0)
+	fresh := func() Context {
+		seed++
+		return Context{ReqSeed: seed}
+	}
+	full := func(c *distCache) bool {
+		for i := range c.slots {
+			if !c.slots[i].full {
+				return false
+			}
+		}
+		return true
+	}
+	for !full(target.cache) || !full(draft.cache) {
+		if seed > 1e5 {
+			t.Fatal("caches never filled")
+		}
+		draft.Dist(fresh())
+	}
+	const runs = 200
+	for _, m := range []interface {
+		Model
+		CacheStats() (hits, misses uint64)
+	}{target, draft} {
+		_, before := m.CacheStats()
+		allocs := testing.AllocsPerRun(runs, func() { m.Dist(fresh()) })
+		// AllocsPerRun makes one extra warm-up call.
+		if _, after := m.CacheStats(); after-before != runs+1 {
+			t.Fatalf("%s: %d misses over %d calls — not measuring the miss path",
+				m.Name(), after-before, runs+1)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: warm-cache miss allocates %.1f times, want 0", m.Name(), allocs)
+		}
+	}
+}
+
 // TestDraftSortFreePathMatchesSort pins the sort-free mistaken-draft
 // construction (strictly decreasing Zipf weights) against the reference
 // sort-based path, which still runs for non-strict weight tables.
@@ -132,22 +218,6 @@ func TestUniformWeightsUseSortPath(t *testing.T) {
 		d := draft.Dist(Context{ReqSeed: i})
 		if err := d.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
-		}
-	}
-}
-
-// TestIndexedProbMatchesScan checks the binary-search Prob against the
-// linear-scan fallback for every candidate and a band of tail tokens.
-func TestIndexedProbMatchesScan(t *testing.T) {
-	m := MustSyntheticLM("m", 13, 512, 16, 3.2, 0.02)
-	d := m.Dist(Context{ReqSeed: 4})
-	if d.byTok == nil {
-		t.Fatal("model dist should carry the token index")
-	}
-	plain := Dist{Entries: d.Entries, Tail: d.Tail, Vocab: d.Vocab}
-	for tok := Token(0); tok < 512; tok++ {
-		if got, want := d.Prob(tok), plain.Prob(tok); got != want {
-			t.Fatalf("Prob(%d): indexed %g, scan %g", tok, got, want)
 		}
 	}
 }

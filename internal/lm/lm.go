@@ -21,11 +21,15 @@
 // Hot-path design: the next-token distribution is a pure function of the
 // 64-bit context hash, so both models memoize distributions behind a
 // fixed-size direct-mapped cache keyed on that hash (exact — entries are
-// validated by full key comparison, never by slot alone). Context itself is
-// a small value type carrying only the HistoryWindow-sized suffix that
-// conditions the distribution, so extending a context allocates nothing.
-// Models are NOT safe for concurrent use: give each goroutine its own
-// engine/models, as the parallel experiment runner does.
+// validated by full key comparison, never by slot alone). Each cache slot
+// owns its entry buffer and a miss rebuilds the distribution in place, so
+// neither a hit nor a warm miss allocates. The price is a one-call lifetime:
+// a Dist returned by a model stays valid until the next Dist call on the
+// same model, or on a draft built on it. Context itself is a small value
+// type carrying only the HistoryWindow-sized suffix that conditions the
+// distribution, so extending a context allocates nothing. Models are NOT
+// safe for concurrent use: give each goroutine its own engine/models, as the
+// parallel experiment runner does.
 package lm
 
 import (
@@ -48,36 +52,16 @@ type TokenProb struct {
 // small candidate set plus Tail mass smeared uniformly over the rest of the
 // vocabulary. Entries are sorted by descending probability.
 //
-// Distributions returned by the models may be shared (cached); callers must
-// treat Entries as read-only.
+// The Entries of a model-returned Dist live in a buffer owned by the model's
+// distribution cache: treat them as read-only, and as valid only until the
+// next Dist call on the same model, or on a draft built on it (a miss
+// refills the buffer in place). Copy what must outlive that, e.g. via TopK.
 type Dist struct {
 	Entries []TokenProb
 	// Tail is the probability mass not covered by Entries.
 	Tail float64
 	// Vocab is the vocabulary size (for tail token sampling).
 	Vocab int
-
-	// byTok, when non-nil, holds Entries sorted by ascending token: the
-	// index that turns Prob into a binary search. Model-produced
-	// distributions always carry it; hand-built literals fall back to a
-	// linear scan.
-	byTok []TokenProb
-}
-
-// Indexed returns a copy of d carrying the sorted-by-token lookup index used
-// by Prob. Model-produced distributions are already indexed. The sort is an
-// insertion sort: candidate sets are small and this is the only allocation
-// site on a cache miss, so it must not drag reflection scaffolding along.
-func (d Dist) Indexed() Dist {
-	bt := make([]TokenProb, len(d.Entries))
-	copy(bt, d.Entries)
-	for i := 1; i < len(bt); i++ {
-		for j := i; j > 0 && bt[j].Token < bt[j-1].Token; j-- {
-			bt[j], bt[j-1] = bt[j-1], bt[j]
-		}
-	}
-	d.byTok = bt
-	return d
 }
 
 // Validate checks that the distribution is normalized and sorted.
@@ -101,27 +85,12 @@ func (d Dist) Validate() error {
 	return nil
 }
 
-// Prob returns the probability of tok under d: a binary search over the
-// token-sorted index when present, else a linear scan of the candidate set.
+// Prob returns the probability of tok under d: a linear scan of the small
+// candidate set, else the token's share of the tail.
 func (d Dist) Prob(tok Token) float64 {
-	if d.byTok != nil {
-		lo, hi := 0, len(d.byTok)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if d.byTok[mid].Token < tok {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(d.byTok) && d.byTok[lo].Token == tok {
-			return d.byTok[lo].Prob
-		}
-	} else {
-		for _, e := range d.Entries {
-			if e.Token == tok {
-				return e.Prob
-			}
+	for _, e := range d.Entries {
+		if e.Token == tok {
+			return e.Prob
 		}
 	}
 	if d.Vocab <= len(d.Entries) {
@@ -350,26 +319,28 @@ func (m *SyntheticLM) CacheStats() (hits, misses uint64) { return m.cache.stats(
 // Dist implements Model: candidate tokens are chosen by hashing the context;
 // Zipf weights are assigned in hash order so the distribution is a
 // deterministic function of (model seed, request seed, history window).
-// Results are memoized by context hash; a cache hit allocates nothing.
+// Results are memoized by context hash; a hit, and a miss once the cache is
+// warm, allocate nothing.
 func (m *SyntheticLM) Dist(ctx Context) Dist {
 	return m.distForHash(ctx.hash(m.seed))
 }
 
 // distForHash returns the (possibly cached) distribution for a context hash.
 func (m *SyntheticLM) distForHash(h uint64) Dist {
-	if d, ok := m.cache.get(h, 0); ok {
-		return d
+	s, ok := m.cache.lookup(h, 0)
+	if ok {
+		return s.dist
 	}
-	d := m.computeDist(h)
-	m.cache.put(h, 0, d)
+	d := m.computeDist(h, s)
+	s.store(h, 0, d)
 	return d
 }
 
-// computeDist materializes the distribution for a context hash. Candidate
-// dedup uses a linear scan (branch is small), not a map, so the only
-// allocations are the entry slices that outlive the call in the cache.
-func (m *SyntheticLM) computeDist(h uint64) Dist {
-	entries := make([]TokenProb, 0, m.branch)
+// computeDist materializes the distribution for a context hash into the
+// buffer of slot s (a fresh slice when s is nil: cache disabled). Candidate
+// dedup uses a linear scan (branch is small), not a map.
+func (m *SyntheticLM) computeDist(h uint64, s *distCacheSlot) Dist {
+	entries := s.entries(m.branch)
 	x := h
 	for len(entries) < m.branch {
 		x = mathutil.SplitMix64(x)
@@ -386,7 +357,7 @@ func (m *SyntheticLM) computeDist(h uint64) Dist {
 		}
 		entries = append(entries, TokenProb{Token: tok, Prob: m.weights[len(entries)]})
 	}
-	return Dist{Entries: entries, Tail: m.tail, Vocab: m.vocab}.Indexed()
+	return Dist{Entries: entries, Tail: m.tail, Vocab: m.vocab}
 }
 
 // DraftLM approximates a target model with tunable alignment, mimicking a
@@ -455,32 +426,38 @@ func (d *DraftLM) SetDistCacheSize(size int) { d.cache = newDistCache(size) }
 func (d *DraftLM) CacheStats() (hits, misses uint64) { return d.cache.stats() }
 
 // Dist implements Model. Results are memoized by the (draft, target) context
-// hash pair; a cache hit allocates nothing.
+// hash pair; a hit, and a miss once both caches are warm, allocate nothing.
 func (d *DraftLM) Dist(ctx Context) Dist {
 	hd := ctx.hash(d.seed)
 	ht := ctx.hash(d.target.seed)
-	if dist, ok := d.cache.get(hd, ht); ok {
-		return dist
+	s, ok := d.cache.lookup(hd, ht)
+	if ok {
+		return s.dist
 	}
-	dist := d.computeDist(hd, ht)
-	d.cache.put(hd, ht, dist)
+	dist := d.computeDist(hd, ht, s)
+	s.store(hd, ht, dist)
 	return dist
 }
 
-// computeDist materializes the draft distribution from the context hash pair.
-func (d *DraftLM) computeDist(hd, ht uint64) Dist {
+// computeDist materializes the draft distribution from the context hash pair
+// into the buffer of slot s (nil: cache disabled).
+func (d *DraftLM) computeDist(hd, ht uint64, s *distCacheSlot) Dist {
 	p := d.target.distForHash(ht)
 	u := float64(hd>>11) / (1 << 53)
 	if u < d.alpha || len(p.Entries) < 2 {
-		return p
+		if s == nil {
+			return p
+		}
+		// p's entries live in a target cache slot that the next target miss
+		// refills, so a cached draft keeps its own copy.
+		return Dist{Entries: append(s.entries(len(p.Entries)), p.Entries...), Tail: p.Tail, Vocab: p.Vocab}
 	}
 	// Mistaken context: swap the top token's probability with that of a
 	// lower-ranked candidate (rank drawn from the context hash, biased
 	// toward nearby ranks — distilled drafts are near-misses far more often
 	// than wildly wrong, which is what makes width-w tree speculation able
 	// to recover where sequence speculation stalls).
-	entries := make([]TokenProb, len(p.Entries))
-	copy(entries, p.Entries)
+	entries := append(s.entries(len(p.Entries)), p.Entries...)
 	j := disagreeRank(mathutil.SplitMix64(hd), len(entries)-1)
 	if d.target.strictOrder {
 		// With strictly decreasing weights, swapping the probabilities at
@@ -496,7 +473,7 @@ func (d *DraftLM) computeDist(hd, ht uint64) Dist {
 			return entries[a].Token < entries[b].Token
 		})
 	}
-	return Dist{Entries: entries, Tail: p.Tail, Vocab: p.Vocab}.Indexed()
+	return Dist{Entries: entries, Tail: p.Tail, Vocab: p.Vocab}
 }
 
 // disagreeRank draws the target rank a mistaken draft confuses with the top:
