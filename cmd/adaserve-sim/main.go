@@ -77,8 +77,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -228,45 +230,59 @@ func resolveAdaptive(tuning, admission bool, duration float64) *adaptive.Config 
 }
 
 func main() {
-	system := flag.String("system", "AdaServe", "serving system name (AdaServe, vLLM, Sarathi-Serve, vLLM-Spec (4|6|8), vLLM + Priority, FastServe, VTC, AdaServe (interleaved))")
-	model := flag.String("model", "llama", "model setup: llama or qwen")
-	rps := flag.Float64("rps", 3.8, "mean request rate (per replica in cluster mode)")
-	duration := flag.Float64("duration", 120, "trace duration in seconds")
-	urgent := flag.Float64("urgent", 0, "urgent-request proportion (0 = default 60/20/20 mix)")
-	sloScale := flag.Float64("slo-scale", 1.0, "scale applied to the most urgent SLO")
-	replicas := flag.Int("replicas", 1, "number of serving replicas (cluster mode when > 1)")
-	router := flag.String("router", "slo-aware", "cluster router policy: round-robin, least-loaded, slo-aware, prefix-affinity")
-	rolesFlag := flag.String("roles", "", "disaggregated role split, e.g. 2P2D (implies the replica count)")
-	autoscaleFlag := flag.String("autoscale", "", "elastic-fleet scaling policy: target-queue, rate-prop, slo-feedback (empty: static fleet)")
-	adaptiveFlag := flag.Bool("adaptive", false, "close the loop: retune the speculation envelope from rolling acceptance and attainment (AdaServe only)")
-	admissionFlag := flag.Bool("admission", false, "arm the overload gate: degrade or reject arrivals a saturated fleet cannot serve")
-	prefixFlag := flag.Bool("prefix", false, "enable shared-prefix KV caching and replay the closed-loop multi-turn session workload")
-	prefixTier := flag.Int("prefix-tier", experiments.PrefixHostTier, "host offload tier size in KV blocks for -prefix (0: GPU-only, evicted prefixes are dropped)")
-	faultsFlag := flag.String("faults", "", `fault schedule, e.g. "crash@30+10:r0; slow@60+20:x4; link@40+30:p0.3; hazard@0.01+10" (cluster mode only)`)
-	recoveryFlag := flag.String("recovery", "retry", "fault recovery mode: none, retry, retry+hedge")
-	profile := flag.String("rate-profile", "", "open-loop arrival shape: constant, ramp, spike, diurnal (empty: closed trace replay)")
-	traceFlag := flag.String("trace", "", "replay a recorded trace file (format v1) as the arrival stream")
-	specFlag := flag.String("spec", "", "compile a declarative workload spec into the arrival stream (deterministic per -seed)")
-	exportFlag := flag.String("export", "", "write the run's admitted arrival stream to a trace file afterward")
-	live := flag.Bool("live", false, "stream periodic rolling-metric snapshots and SLO-violation events")
-	snapEvery := flag.Float64("snapshot-every", 5, "simulated seconds between -live snapshots")
-	spanOut := flag.String("span-out", "", "write per-request span timelines (Chrome/Perfetto trace-event JSON) to this file")
-	metricsOut := flag.String("metrics-out", "", "write run metrics to this file: .json = JSON series, anything else = Prometheus text exposition")
-	percentiles := flag.Bool("percentiles", false, "print the per-class latency percentile table after the run")
-	seed := flag.Uint64("seed", 1, "random seed")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the usage is already printed
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args and drives one simulation, writing every report line to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("adaserve-sim", flag.ContinueOnError)
+	system := fs.String("system", "AdaServe", "serving system name (AdaServe, vLLM, Sarathi-Serve, vLLM-Spec (4|6|8), vLLM + Priority, FastServe, VTC, AdaServe (interleaved))")
+	model := fs.String("model", "llama", "model setup: llama or qwen")
+	rps := fs.Float64("rps", 3.8, "mean request rate (per replica in cluster mode)")
+	duration := fs.Float64("duration", 120, "trace duration in seconds")
+	urgent := fs.Float64("urgent", 0, "urgent-request proportion (0 = default 60/20/20 mix)")
+	sloScale := fs.Float64("slo-scale", 1.0, "scale applied to the most urgent SLO")
+	replicas := fs.Int("replicas", 1, "number of serving replicas (cluster mode when > 1)")
+	router := fs.String("router", "slo-aware", "cluster router policy: round-robin, least-loaded, slo-aware, prefix-affinity")
+	rolesFlag := fs.String("roles", "", "disaggregated role split, e.g. 2P2D (implies the replica count)")
+	autoscaleFlag := fs.String("autoscale", "", "elastic-fleet scaling policy: target-queue, rate-prop, slo-feedback (empty: static fleet)")
+	adaptiveFlag := fs.Bool("adaptive", false, "close the loop: retune the speculation envelope from rolling acceptance and attainment (AdaServe only)")
+	admissionFlag := fs.Bool("admission", false, "arm the overload gate: degrade or reject arrivals a saturated fleet cannot serve")
+	prefixFlag := fs.Bool("prefix", false, "enable shared-prefix KV caching and replay the closed-loop multi-turn session workload")
+	prefixTier := fs.Int("prefix-tier", experiments.PrefixHostTier, "host offload tier size in KV blocks for -prefix (0: GPU-only, evicted prefixes are dropped)")
+	faultsFlag := fs.String("faults", "", `fault schedule, e.g. "crash@30+10:r0; slow@60+20:x4; link@40+30:p0.3; hazard@0.01+10" (cluster mode only)`)
+	recoveryFlag := fs.String("recovery", "retry", "fault recovery mode: none, retry, retry+hedge")
+	profile := fs.String("rate-profile", "", "open-loop arrival shape: constant, ramp, spike, diurnal (empty: closed trace replay)")
+	traceFlag := fs.String("trace", "", "replay a recorded trace file (format v1) as the arrival stream")
+	specFlag := fs.String("spec", "", "compile a declarative workload spec into the arrival stream (deterministic per -seed)")
+	exportFlag := fs.String("export", "", "write the run's admitted arrival stream to a trace file afterward")
+	live := fs.Bool("live", false, "stream periodic rolling-metric snapshots and SLO-violation events")
+	snapEvery := fs.Float64("snapshot-every", 5, "simulated seconds between -live snapshots")
+	spanOut := fs.String("span-out", "", "write per-request span timelines (Chrome/Perfetto trace-event JSON) to this file")
+	metricsOut := fs.String("metrics-out", "", "write run metrics to this file: .json = JSON series, anything else = Prometheus text exposition")
+	percentiles := fs.Bool("percentiles", false, "print the per-class latency percentile table after the run")
+	seed := fs.Uint64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Validate every enumerated flag up front: a typo exits non-zero with
 	// one line, never a panic deep in setup.
 	kind, err := experiments.ParseSystem(*system)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := cluster.NewRouter(*router); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	replicasSet, prefixTierSet, durationSet := false, false, false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "replicas":
 			replicasSet = true
@@ -277,29 +293,29 @@ func main() {
 		}
 	})
 	if prefixTierSet && !*prefixFlag {
-		log.Fatal("-prefix-tier needs -prefix")
+		return fmt.Errorf("-prefix-tier needs -prefix")
 	}
 	if err := resolveSource(*traceFlag, *specFlag, *profile, *prefixFlag); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *prefixTier < 0 {
-		log.Fatalf("-prefix-tier %d: need a non-negative block count", *prefixTier)
+		return fmt.Errorf("-prefix-tier %d: need a non-negative block count", *prefixTier)
 	}
 	roles, nReplicas, err := resolveFleet(*replicas, replicasSet, *rolesFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	*replicas = nReplicas
 	policy, err := resolveAutoscale(*autoscaleFlag, *replicas)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	faultSpec, faultRec, err := resolveFaults(*faultsFlag, *recoveryFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !faultSpec.Empty() && *replicas < 2 && len(roles) == 0 {
-		log.Fatal("-faults needs a cluster: set -replicas > 1 or -roles")
+		return fmt.Errorf("-faults needs a cluster: set -replicas > 1 or -roles")
 	}
 	var setup experiments.ModelSetup
 	switch *model {
@@ -308,10 +324,10 @@ func main() {
 	case "qwen":
 		setup = experiments.Qwen32B()
 	default:
-		log.Fatalf("unknown model %q (llama, qwen)", *model)
+		return fmt.Errorf("unknown model %q (llama, qwen)", *model)
 	}
 	if *snapEvery <= 0 {
-		log.Fatalf("-snapshot-every %g: need a positive interval", *snapEvery)
+		return fmt.Errorf("-snapshot-every %g: need a positive interval", *snapEvery)
 	}
 	totalRPS := *rps * float64(*replicas)
 	var rate workload.RateFn
@@ -319,7 +335,7 @@ func main() {
 	if *profile != "" {
 		rate, maxRate, err = workload.RateProfile(*profile, totalRPS, *duration)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -329,9 +345,9 @@ func main() {
 	}
 	gen, err := experiments.NewGenerator(setup, mix, *sloScale, mathutil.Hash2(*seed, 0x51e))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("model: %s (baseline %.1f ms/token)\n", setup.Name, 1e3*setup.BaselineLatency())
+	fmt.Fprintf(w, "model: %s (baseline %.1f ms/token)\n", setup.Name, 1e3*setup.BaselineLatency())
 
 	// Build the source: closed trace replay by default, trace-file replay
 	// under -trace (or -spec, which compiles one first), open-loop with the
@@ -344,11 +360,11 @@ func main() {
 	if *traceFlag != "" || *specFlag != "" {
 		tr, err := loadReplayTrace(*traceFlag, *specFlag, setup, *duration, durationSet, *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		src, err = trace.NewSource(tr)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// Downstream cadences (autoscale, adaptive, fault horizon) follow the
 		// replayed trace's span, not the synthetic default.
@@ -358,38 +374,38 @@ func main() {
 		if *specFlag != "" {
 			what = fmt.Sprintf("compiled %s (seed %d)", *specFlag, tr.Header.Seed)
 		}
-		fmt.Printf("trace: %s: %d arrivals over %.1fs (mean %.2f rps, %d classes; -rps ignored)\n",
+		fmt.Fprintf(w, "trace: %s: %d arrivals over %.1fs (mean %.2f rps, %d classes; -rps ignored)\n",
 			what, st.Arrivals, tr.Duration(), st.MeanRPS, len(tr.Header.Classes))
 	} else if *prefixFlag {
 		sessions, err = experiments.NewSessions(setup, *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		submitSrc = serve.NewSubmitSource()
 		init := sessions.InitialRequests()
 		for _, r := range init {
 			if err := submitSrc.Submit(r); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		src = submitSrc
-		fmt.Printf("workload: %d multi-turn sessions, closed-loop follow-ups (host tier %d blocks; -duration and -rps ignored)\n",
+		fmt.Fprintf(w, "workload: %d multi-turn sessions, closed-loop follow-ups (host tier %d blocks; -duration and -rps ignored)\n",
 			len(init), *prefixTier)
 	} else if rate != nil {
 		src, err = serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(*seed, 0x7a)), rate, maxRate, *duration)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("workload: open-loop %s profile, mean %.2f rps over %.0fs\n", *profile, totalRPS, *duration)
+		fmt.Fprintf(w, "workload: open-loop %s profile, mean %.2f rps over %.0fs\n", *profile, totalRPS, *duration)
 	} else {
 		ts := workload.RealTrace(mathutil.NewRNG(mathutil.Hash2(*seed, 0x7a)), totalRPS, *duration)
 		traceReqs = gen.FromTimestamps(ts)
 		st := workload.StreamStats(traceReqs)
-		fmt.Printf("trace: %d requests, %.2f rps, mean prompt %.0f, mean output %.0f\n",
+		fmt.Fprintf(w, "trace: %d requests, %.2f rps, mean prompt %.0f, mean output %.0f\n",
 			st.Requests, st.MeanRPS, st.MeanPrompt, st.MeanOutput)
 		ts2, err := serve.NewTraceSource(traceReqs)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		src = ts2
 	}
@@ -416,7 +432,7 @@ func main() {
 			cl, err = experiments.BuildElasticCluster(kind, setup, *replicas, *router, eopts, buildOpts)
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		backend = cl
 	case *replicas > 1 || len(roles) > 0:
@@ -426,13 +442,13 @@ func main() {
 			cl, err = experiments.BuildCluster(kind, setup, *replicas, *router, buildOpts)
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		backend = cl
 	default:
 		sys, err = experiments.Build(kind, setup, buildOpts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		backend = serve.SingleSystem(sys)
 	}
@@ -448,10 +464,10 @@ func main() {
 			Seed: *seed, Horizon: *duration, Recovery: faultRec,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		opts.Faults = inj
-		fmt.Printf("faults: %s [recovery %s]\n", faultSpec, faultRec)
+		fmt.Fprintf(w, "faults: %s [recovery %s]\n", faultSpec, faultRec)
 	}
 	if policy != nil {
 		ctrl, err := autoscale.New(cl, policy, autoscale.Options{
@@ -459,17 +475,17 @@ func main() {
 			Window:   experiments.AutoscaleWindow(*duration),
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		opts.Autoscaler = ctrl
-		fmt.Printf("autoscale: %s policy over a %d-replica capacity fleet (cold start %.1fs, decisions every %.1fs)\n",
+		fmt.Fprintf(w, "autoscale: %s policy over a %d-replica capacity fleet (cold start %.1fs, decisions every %.1fs)\n",
 			policy.Name(), *replicas, experiments.AutoscaleColdStart(*duration), experiments.AutoscaleInterval(*duration))
 	}
 	var actrl *adaptive.Controller
 	if cfg := resolveAdaptive(*adaptiveFlag, *admissionFlag, *duration); cfg != nil {
 		actrl, err = adaptive.New(backend, *cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		parts := ""
 		if *adaptiveFlag {
@@ -481,13 +497,13 @@ func main() {
 			}
 			parts += "overload admission"
 		}
-		fmt.Printf("adaptive: %s (retune every %.1fs, %.1fs windows)\n",
+		fmt.Fprintf(w, "adaptive: %s (retune every %.1fs, %.1fs windows)\n",
 			parts, cfg.Interval, cfg.Window)
 		opts.Adaptive = actrl
 	}
 	srv, err := serve.NewServer(backend, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var exporter *trace.Exporter
 	if *exportFlag != "" {
@@ -505,9 +521,9 @@ func main() {
 		srv.Subscribe(mexp)
 	}
 	if *live {
-		fmt.Println()
+		fmt.Fprintln(w)
 		pfx := prefixStatsFn(*prefixFlag, cl, sys)
-		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) { liveEvent(ev, cl, pfx) }))
+		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) { liveEvent(w, ev, cl, pfx) }))
 	}
 	var submitErr error
 	if sessions != nil {
@@ -525,20 +541,20 @@ func main() {
 	}
 	rr, err := srv.Run(src)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if submitErr != nil {
-		log.Fatal(submitErr)
+		return submitErr
 	}
 	if exporter != nil {
 		tr, err := exporter.Trace()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*exportFlag, []byte(tr.Format()), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("exported %d admitted arrivals to %s\n", len(tr.Arrivals), *exportFlag)
+		fmt.Fprintf(w, "exported %d admitted arrivals to %s\n", len(tr.Arrivals), *exportFlag)
 	}
 
 	if cl != nil {
@@ -557,38 +573,37 @@ func main() {
 			fsum := inj.Summary(rr.EndTime)
 			res.Summary.Faults = &fsum
 		}
-		printCluster(res, *replicas)
-		finishObs(spans, *spanOut, mexp, *metricsOut, *percentiles, res.Summary.Aggregate)
-		return
+		printCluster(w, res, *replicas)
+		return finishObs(w, spans, *spanOut, mexp, *metricsOut, *percentiles, res.Summary.Aggregate)
 	}
 	reqs := traceReqs
 	if reqs == nil {
 		reqs = sys.Pool().Done()
 	}
 	sum := metrics.Summarize(sys.Name(), reqs, rr.Breakdown)
-	printSingle(sum, rr)
+	printSingle(w, sum, rr)
 	if actrl != nil {
-		fmt.Println(actrl.Summary().String())
+		fmt.Fprintln(w, actrl.Summary().String())
 	}
 	if pfx := prefixStatsFn(*prefixFlag, nil, sys); pfx != nil {
-		fmt.Println(pfx().String())
+		fmt.Fprintln(w, pfx().String())
 	}
-	finishObs(spans, *spanOut, mexp, *metricsOut, *percentiles, sum)
+	return finishObs(w, spans, *spanOut, mexp, *metricsOut, *percentiles, sum)
 }
 
 // finishObs renders the observability outputs after the run: the Perfetto
 // span-timeline file (-span-out), the metrics export in the format the
 // -metrics-out extension selects, and the -percentiles latency table.
-func finishObs(spans *obs.SpanRecorder, spanPath string, mexp *obs.MetricsExporter, metricsPath string, percentiles bool, sum *metrics.Summary) {
+func finishObs(w io.Writer, spans *obs.SpanRecorder, spanPath string, mexp *obs.MetricsExporter, metricsPath string, percentiles bool, sum *metrics.Summary) error {
 	if spans != nil {
 		var buf bytes.Buffer
 		if err := spans.WriteTrace(&buf); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(spanPath, buf.Bytes(), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %d span timelines to %s (load in ui.perfetto.dev or chrome://tracing)\n",
+		fmt.Fprintf(w, "wrote %d span timelines to %s (load in ui.perfetto.dev or chrome://tracing)\n",
 			len(spans.Timelines()), spanPath)
 	}
 	if mexp != nil {
@@ -603,14 +618,15 @@ func finishObs(spans *obs.SpanRecorder, spanPath string, mexp *obs.MetricsExport
 			err = os.WriteFile(metricsPath, buf.Bytes(), 0o644)
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %d metric snapshots + terminal summary to %s\n", len(mexp.Snapshots()), metricsPath)
+		fmt.Fprintf(w, "wrote %d metric snapshots + terminal summary to %s\n", len(mexp.Snapshots()), metricsPath)
 	}
 	if percentiles {
-		fmt.Println()
-		fmt.Print(obs.PercentileTable(sum))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, obs.PercentileTable(sum))
 	}
+	return nil
 }
 
 // kvPrefixStatser is implemented by every scheduler through the shared base.
@@ -658,7 +674,7 @@ func prefixStatsFn(on bool, cl *cluster.Cluster, sys sched.System) func() *metri
 // (with the fleet size when the cluster is elastic, plus a [pfx] cache line
 // when -prefix is on), SLO violations the moment they become certain, and
 // every autoscaler action.
-func liveEvent(ev serve.Event, cl *cluster.Cluster, pfx func() *metrics.PrefixSummary) {
+func liveEvent(w io.Writer, ev serve.Event, cl *cluster.Cluster, pfx func() *metrics.PrefixSummary) {
 	switch e := ev.(type) {
 	case serve.Snapshot:
 		s := e.Stats
@@ -666,54 +682,54 @@ func liveEvent(ev serve.Event, cl *cluster.Cluster, pfx func() *metrics.PrefixSu
 		if e.Final {
 			tag = "done"
 		}
-		fmt.Printf("[%s t=%7.1fs] run %3d wait %3d | finished %5d/%5d | attain %5.1f%% (win %5.1f%%) | goodput %7.1f tok/s (win %7.1f)",
+		fmt.Fprintf(w, "[%s t=%7.1fs] run %3d wait %3d | finished %5d/%5d | attain %5.1f%% (win %5.1f%%) | goodput %7.1f tok/s (win %7.1f)",
 			tag, e.Time, s.Running, s.Queued, s.Finished, s.Admitted,
 			100*s.Attainment(), 100*s.WindowAttainment(), s.Goodput, s.WindowGoodput)
 		if s.WindowTPOTTail.Count > 0 {
-			fmt.Printf(" | p99 TPOT %5.1fms (win %5.1fms)", 1e3*s.TPOTTail.P99, 1e3*s.WindowTPOTTail.P99)
+			fmt.Fprintf(w, " | p99 TPOT %5.1fms (win %5.1fms)", 1e3*s.TPOTTail.P99, 1e3*s.WindowTPOTTail.P99)
 		}
 		if cl != nil && cl.Elastic() {
-			fmt.Printf(" | %s", fleetString(cl))
+			fmt.Fprintf(w, " | %s", fleetString(cl))
 		}
 		for cat := 0; cat < request.NumCategories; cat++ {
 			c := s.PerClass[cat]
 			if c.WindowFinished > 0 {
-				fmt.Printf(" | %s %.0f%%", request.Category(cat), 100*c.WindowAttainment())
+				fmt.Fprintf(w, " | %s %.0f%%", request.Category(cat), 100*c.WindowAttainment())
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if pfx != nil {
-			fmt.Printf("[pfx  t=%7.1fs] %s\n", e.Time, pfx())
+			fmt.Fprintf(w, "[pfx  t=%7.1fs] %s\n", e.Time, pfx())
 		}
 	case serve.SLOViolated:
-		fmt.Printf("[viol t=%7.1fs] request %d (%s) missed its %s SLO\n",
+		fmt.Fprintf(w, "[viol t=%7.1fs] request %d (%s) missed its %s SLO\n",
 			e.Time, e.Req.ID, e.Req.Category, e.Kind)
 	case serve.RequestRejected:
-		fmt.Printf("[admt t=%7.1fs] request %d (%s) rejected: %s\n",
+		fmt.Fprintf(w, "[admt t=%7.1fs] request %d (%s) rejected: %s\n",
 			e.Time, e.Req.ID, e.Req.Category, e.Reason)
 	case serve.RequestDegraded:
-		fmt.Printf("[admt t=%7.1fs] request %d degraded %s -> %s: %s\n",
+		fmt.Fprintf(w, "[admt t=%7.1fs] request %d degraded %s -> %s: %s\n",
 			e.Time, e.Req.ID, e.From, e.To, e.Reason)
 	case serve.ScaleUp:
-		fmt.Printf("[scal t=%7.1fs] +replica %d (%s): %s -> fleet %d\n",
+		fmt.Fprintf(w, "[scal t=%7.1fs] +replica %d (%s): %s -> fleet %d\n",
 			e.Time, e.Action.Instance, e.Action.Role, e.Action.Reason, e.Action.Fleet)
 	case serve.ScaleDown:
-		fmt.Printf("[scal t=%7.1fs] -replica %d (%s): %s -> fleet %d\n",
+		fmt.Fprintf(w, "[scal t=%7.1fs] -replica %d (%s): %s -> fleet %d\n",
 			e.Time, e.Action.Instance, e.Action.Role, e.Action.Reason, e.Action.Fleet)
 	case serve.ReplicaFailed:
-		fmt.Printf("[falt t=%7.1fs] replica %d crashed (%s), %d resident requests frozen\n",
+		fmt.Fprintf(w, "[falt t=%7.1fs] replica %d crashed (%s), %d resident requests frozen\n",
 			e.Time, e.Instance, e.Reason, e.Lost)
 	case serve.ReplicaRecovered:
-		fmt.Printf("[falt t=%7.1fs] replica %d recovered after %.1fs down\n",
+		fmt.Fprintf(w, "[falt t=%7.1fs] replica %d recovered after %.1fs down\n",
 			e.Time, e.Instance, e.Downtime)
 	case serve.RequestRetried:
-		fmt.Printf("[falt t=%7.1fs] request %d retried (attempt %d) on replica %d\n",
+		fmt.Fprintf(w, "[falt t=%7.1fs] request %d retried (attempt %d) on replica %d\n",
 			e.Time, e.Req.ID, e.Attempt, e.Instance)
 	case serve.RequestHedged:
-		fmt.Printf("[falt t=%7.1fs] request %d hedged onto replica %d\n",
+		fmt.Fprintf(w, "[falt t=%7.1fs] request %d hedged onto replica %d\n",
 			e.Time, e.Req.ID, e.Instance)
 	case serve.RequestMigrated:
-		fmt.Printf("[mig  t=%7.1fs] request %d KV %d -> %d (%.1f MB in %.1f ms)\n",
+		fmt.Fprintf(w, "[mig  t=%7.1fs] request %d KV %d -> %d (%.1f MB in %.1f ms)\n",
 			e.Time, e.Req.ID, e.From, e.To, e.Bytes/1e6, 1e3*(e.Time-e.Depart))
 	}
 }
@@ -746,51 +762,51 @@ func fleetString(cl *cluster.Cluster) string {
 	return s
 }
 
-func printSingle(s *metrics.Summary, rr *serve.Result) {
-	fmt.Println()
-	fmt.Println(s)
-	fmt.Printf("\nthroughput %.1f tok/s | mean TTFT %.2fs | p50 TPOT %.1fms | p99 TPOT %.1fms\n",
+func printSingle(w io.Writer, s *metrics.Summary, rr *serve.Result) {
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, s)
+	fmt.Fprintf(w, "\nthroughput %.1f tok/s | mean TTFT %.2fs | p50 TPOT %.1fms | p99 TPOT %.1fms\n",
 		s.Throughput, s.MeanTTFT, 1e3*s.P50TPOT(), 1e3*s.P99TPOT())
 	b := s.Breakdown
-	fmt.Printf("breakdown: scheduling %.2f%%, speculation %.1f%%, verification %.1f%%, prefill %.1f%%\n",
+	fmt.Fprintf(w, "breakdown: scheduling %.2f%%, speculation %.1f%%, verification %.1f%%, prefill %.1f%%\n",
 		100*b.Scheduling/b.Total(), 100*b.Speculation/b.Total(),
 		100*b.Verification/b.Total(), 100*b.Prefill/b.Total())
-	fmt.Printf("simulated: %.1fs over %d iterations\n", rr.EndTime, rr.Iterations)
+	fmt.Fprintf(w, "simulated: %.1fs over %d iterations\n", rr.EndTime, rr.Iterations)
 }
 
-func printCluster(res *cluster.Result, n int) {
+func printCluster(w io.Writer, res *cluster.Result, n int) {
 	s := res.Summary
-	fmt.Println()
-	fmt.Println(s)
-	fmt.Printf("\ncluster: attainment %.1f%% | TTFT attainment %.1f%% | goodput %.1f tok/s | request imbalance %.2f\n",
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, s)
+	fmt.Fprintf(w, "\ncluster: attainment %.1f%% | TTFT attainment %.1f%% | goodput %.1f tok/s | request imbalance %.2f\n",
 		100*s.Attainment(), 100*s.TTFTAttainment(), s.Goodput(), s.RequestImbalance())
-	fmt.Printf("throughput %.1f tok/s | mean TTFT %.2fs | p50 TPOT %.1fms | p99 TPOT %.1fms\n",
+	fmt.Fprintf(w, "throughput %.1f tok/s | mean TTFT %.2fs | p50 TPOT %.1fms | p99 TPOT %.1fms\n",
 		s.Aggregate.Throughput, s.Aggregate.MeanTTFT, 1e3*s.Aggregate.P50TPOT(), 1e3*s.Aggregate.P99TPOT())
 	for _, rs := range s.Roles {
 		if rs.Role == "mixed" && s.Transfer.Count == 0 {
 			continue
 		}
-		fmt.Printf("role %-8s x%d: %s, %s\n", rs.Role, rs.Replicas,
+		fmt.Fprintf(w, "role %-8s x%d: %s, %s\n", rs.Role, rs.Replicas,
 			stageStat(rs.PrefillRequests, "prefills", "TTFT attain", rs.TTFTAttainment()),
 			stageStat(rs.DecodeRequests, "decodes", "TPOT attain", rs.TPOTAttainment()))
 	}
 	if s.Transfer.Count > 0 {
-		fmt.Printf("KV transfers: %d over %s, %.1f GB total, mean %.1f ms\n",
+		fmt.Fprintf(w, "KV transfers: %d over %s, %.1f GB total, mean %.1f ms\n",
 			s.Transfer.Count, experiments.DisaggLink.Name, s.Transfer.Bytes/1e9, 1e3*s.Transfer.MeanLatency())
 	}
 	if s.Autoscale != nil && s.Autoscale.Policy != "" {
-		fmt.Printf("autoscale %s\n", s.Autoscale)
+		fmt.Fprintf(w, "autoscale %s\n", s.Autoscale)
 	}
 	if s.Admission != nil {
-		fmt.Println(s.Admission.String())
+		fmt.Fprintln(w, s.Admission.String())
 	}
 	if s.Prefix != nil {
-		fmt.Println(s.Prefix.String())
+		fmt.Fprintln(w, s.Prefix.String())
 	}
 	if s.Faults != nil {
-		fmt.Printf("faults %s\n", s.Faults)
+		fmt.Fprintf(w, "faults %s\n", s.Faults)
 	}
-	fmt.Printf("simulated: %.1fs over %d iterations across %d replicas\n", res.EndTime, res.Iterations, n)
+	fmt.Fprintf(w, "simulated: %.1fs over %d iterations across %d replicas\n", res.EndTime, res.Iterations, n)
 }
 
 // stageStat renders one stage of a role row, eliding the attainment of a

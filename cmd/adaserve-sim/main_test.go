@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -345,7 +346,7 @@ func TestLiveEventRendersEveryKind(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			out := captureStdout(t, func() { liveEvent(c.ev, nil, nil) })
+			out := render(func(w io.Writer) { liveEvent(w, c.ev, nil, nil) })
 			for _, w := range c.want {
 				if !strings.Contains(out, w) {
 					t.Fatalf("liveEvent output %q missing %q", out, w)
@@ -377,24 +378,18 @@ func TestFleetStringStates(t *testing.T) {
 	}
 }
 
-// captureStdout runs f with os.Stdout redirected into a pipe and returns
-// what it printed.
-func captureStdout(t *testing.T, f func()) string {
+// render returns what f writes.
+func render(f func(w io.Writer)) string {
+	var b bytes.Buffer
+	f(&b)
+	return b.String()
+}
+
+func mustNil(t *testing.T, err error) {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
-	f()
-	w.Close()
-	b, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // TestPrefixStatsFn covers the -prefix live-poller wiring: off returns no
@@ -440,8 +435,8 @@ func TestPrefixStatsFn(t *testing.T) {
 
 // TestLiveEventPrefixLine covers the [pfx] cache line appended to snapshots.
 func TestLiveEventPrefixLine(t *testing.T) {
-	out := captureStdout(t, func() {
-		liveEvent(serve.Snapshot{EventMeta: serve.EventMeta{Time: 12}, Stats: metrics.RollingStats{}}, nil,
+	out := render(func(w io.Writer) {
+		liveEvent(w, serve.Snapshot{EventMeta: serve.EventMeta{Time: 12}, Stats: metrics.RollingStats{}}, nil,
 			func() *metrics.PrefixSummary {
 				return &metrics.PrefixSummary{Lookups: 4, Hits: 3, HitTokens: 96}
 			})
@@ -478,7 +473,7 @@ func TestFinishObs(t *testing.T) {
 
 	spanPath := filepath.Join(dir, "spans.json")
 	promPath := filepath.Join(dir, "run.prom")
-	out := captureStdout(t, func() { finishObs(spans, spanPath, mexp, promPath, true, sum) })
+	out := render(func(w io.Writer) { mustNil(t, finishObs(w, spans, spanPath, mexp, promPath, true, sum)) })
 	for _, w := range []string{"wrote 1 span timelines", "wrote 1 metric snapshots", "p99"} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("finishObs output %q missing %q", out, w)
@@ -503,7 +498,7 @@ func TestFinishObs(t *testing.T) {
 
 	// A .json extension flips the metrics export to the JSON document.
 	jsonPath := filepath.Join(dir, "metrics.json")
-	out = captureStdout(t, func() { finishObs(nil, "", mexp, jsonPath, false, sum) })
+	out = render(func(w io.Writer) { mustNil(t, finishObs(w, nil, "", mexp, jsonPath, false, sum)) })
 	if strings.Contains(out, "span timelines") {
 		t.Fatalf("nil recorder still reported spans: %q", out)
 	}
@@ -562,14 +557,14 @@ func TestPrintSummaries(t *testing.T) {
 	res.Summary.Prefix = &metrics.PrefixSummary{}
 	res.Summary.Faults = &metrics.FaultSummary{}
 
-	out := captureStdout(t, func() { printCluster(res, 2) })
+	out := render(func(w io.Writer) { printCluster(w, res, 2) })
 	for _, w := range []string{"cluster: attainment", "goodput", "p50 TPOT", "p99 TPOT", "KV transfers:", "autoscale", "faults", "simulated:", "across 2 replicas"} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("printCluster output missing %q:\n%s", w, out)
 		}
 	}
 
-	out = captureStdout(t, func() { printSingle(res.Summary.Aggregate, rr) })
+	out = render(func(w io.Writer) { printSingle(w, res.Summary.Aggregate, rr) })
 	for _, w := range []string{"throughput", "p50 TPOT", "breakdown: scheduling", "simulated:"} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("printSingle output missing %q:\n%s", w, out)
