@@ -24,7 +24,6 @@ import (
 	"adaserve/internal/obs"
 	"adaserve/internal/request"
 	"adaserve/internal/serve"
-	"adaserve/internal/sim"
 	"adaserve/internal/toktree"
 	"adaserve/internal/workload"
 )
@@ -38,15 +37,7 @@ func runCell(b *testing.B, kind experiments.SystemKind, setup experiments.ModelS
 	b.Helper()
 	var sum *metrics.Summary
 	for i := 0; i < b.N; i++ {
-		sys, err := experiments.Build(kind, setup, build)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cp := make([]*request.Request, len(reqs))
-		for j, r := range reqs {
-			cp[j] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
-		}
-		res, err := sim.Run(sys, cp, sim.Options{})
+		res, err := experiments.Scenario{System: kind, Setup: setup, Seed: build.Seed, Build: build, Trace: reqs}.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -512,36 +503,16 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, 2, "slo-aware",
-				experiments.BuildOptions{Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sopts := serve.Options{}
-			if observe {
-				sopts.SnapshotEvery = 1
-			}
-			srv, err := serve.NewServer(cl, sopts)
-			if err != nil {
-				b.Fatal(err)
+			sc := experiments.Scenario{
+				System: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: obsDuration,
+				Replicas: 2, Router: "slo-aware",
+				OpenLoop: &experiments.OpenLoop{Profile: "spike", MeanRPS: experiments.AdaptiveMeanRPS(setup), GenSalt: 0xada},
 			}
 			if observe {
-				srv.Subscribe(obs.NewSpanRecorder())
-				srv.Subscribe(obs.NewMetricsExporter())
+				sc.SnapshotEvery = 1
+				sc.Observers = []serve.Observer{obs.NewSpanRecorder(), obs.NewMetricsExporter()}
 			}
-			gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rate, maxRate, err := workload.RateProfile("spike", experiments.AdaptiveMeanRPS(setup), obsDuration)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, obsDuration)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := srv.Run(src); err != nil {
+			if _, err := sc.Run(); err != nil {
 				b.Fatal(err)
 			}
 		}

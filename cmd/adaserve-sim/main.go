@@ -86,7 +86,6 @@ import (
 	"strings"
 
 	"adaserve/internal/adaptive"
-	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/faults"
@@ -95,87 +94,19 @@ import (
 	"adaserve/internal/metrics"
 	"adaserve/internal/obs"
 	"adaserve/internal/request"
-	"adaserve/internal/sched"
 	"adaserve/internal/serve"
 	"adaserve/internal/trace"
 	"adaserve/internal/workload"
 )
 
-// resolveFleet validates the -replicas/-roles pair and returns the fleet
-// layout: the role list (nil for a colocated fleet) and the replica count.
-// -roles implies the count; an explicitly set -replicas that contradicts it
-// is rejected rather than silently overridden.
-func resolveFleet(replicas int, replicasSet bool, rolesSpec string) ([]cluster.Role, int, error) {
-	if replicas < 1 {
-		return nil, 0, fmt.Errorf("-replicas %d: need at least 1", replicas)
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the usage is already printed
 	}
-	if rolesSpec == "" {
-		return nil, replicas, nil
-	}
-	roles, err := cluster.ParseSplit(rolesSpec)
 	if err != nil {
-		return nil, 0, err
+		log.Fatal(err)
 	}
-	if replicasSet && replicas != len(roles) {
-		return nil, 0, fmt.Errorf("-replicas %d contradicts -roles %s (%d replicas); drop -replicas or make them agree",
-			replicas, rolesSpec, len(roles))
-	}
-	return roles, len(roles), nil
-}
-
-// resolveAutoscale validates the -autoscale flag against the fleet size and
-// returns the scaling policy (nil when autoscaling is off).
-func resolveAutoscale(name string, replicas int) (autoscale.Policy, error) {
-	if name == "" {
-		return nil, nil
-	}
-	policy, err := autoscale.NewPolicy(name)
-	if err != nil {
-		return nil, err
-	}
-	if replicas < 2 {
-		return nil, fmt.Errorf("-autoscale %s needs a capacity fleet: set -replicas > 1 or -roles", name)
-	}
-	return policy, nil
-}
-
-// resolveFaults validates the -faults/-recovery pair and returns the parsed
-// fault schedule (empty when -faults is unset) and recovery mode. Both flags
-// are validated unconditionally, so a typo fails fast even when the other
-// flag would have made it moot.
-func resolveFaults(spec, recovery string) (faults.Spec, faults.Recovery, error) {
-	s, err := faults.ParseSpec(spec)
-	if err != nil {
-		return faults.Spec{}, 0, err
-	}
-	rec, err := faults.ParseRecovery(recovery)
-	if err != nil {
-		return faults.Spec{}, 0, err
-	}
-	return s, rec, nil
-}
-
-// resolveSource validates the workload-source flag combination: -trace,
-// -spec, -rate-profile and -prefix each replace the default closed trace
-// replay with their own arrival stream, so at most one may be set.
-func resolveSource(tracePath, specPath, profile string, prefix bool) error {
-	var set []string
-	if tracePath != "" {
-		set = append(set, "-trace")
-	}
-	if specPath != "" {
-		set = append(set, "-spec")
-	}
-	if profile != "" {
-		set = append(set, "-rate-profile")
-	}
-	if prefix {
-		set = append(set, "-prefix")
-	}
-	if len(set) > 1 {
-		return fmt.Errorf("%s each pick the workload source; set at most one", strings.Join(set, " and "))
-	}
-	return nil
 }
 
 // loadReplayTrace builds the replay trace behind -trace/-spec (exactly one
@@ -229,18 +160,25 @@ func resolveAdaptive(tuning, admission bool, duration float64) *adaptive.Config 
 	}
 }
 
-func main() {
-	err := run(os.Args[1:], os.Stdout)
-	if errors.Is(err, flag.ErrHelp) {
-		return // -h: the usage is already printed
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+// cli is a parsed command line: the scenario it describes plus the knobs
+// only the command reads (closed-trace synthesis, banners, output files).
+type cli struct {
+	sc                  experiments.Scenario
+	rps                 float64 // total offered rate
+	mix                 workload.Mix
+	sloScale            float64
+	tracePath, specPath string
+	prefix              bool
+	prefixTier          int
+	live, percentiles   bool
+	export              string
+	spanOut, metricsOut string
 }
 
-// run parses args and drives one simulation, writing every report line to w.
-func run(args []string, w io.Writer) error {
+// parseArgs maps the flags onto a Scenario and validates it, before any
+// workload is synthesized or any line is printed. A -trace/-spec file is read
+// here because the replayed span sets every controller's cadence.
+func parseArgs(args []string) (*cli, error) {
 	fs := flag.NewFlagSet("adaserve-sim", flag.ContinueOnError)
 	system := fs.String("system", "AdaServe", "serving system name (AdaServe, vLLM, Sarathi-Serve, vLLM-Spec (4|6|8), vLLM + Priority, FastServe, VTC, AdaServe (interleaved))")
 	model := fs.String("model", "llama", "model setup: llama or qwen")
@@ -269,54 +207,11 @@ func run(args []string, w io.Writer) error {
 	percentiles := fs.Bool("percentiles", false, "print the per-class latency percentile table after the run")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	// Validate every enumerated flag up front: a typo exits non-zero with
-	// one line, never a panic deep in setup.
-	kind, err := experiments.ParseSystem(*system)
-	if err != nil {
-		return err
-	}
-	if _, err := cluster.NewRouter(*router); err != nil {
-		return err
-	}
-	replicasSet, prefixTierSet, durationSet := false, false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "replicas":
-			replicasSet = true
-		case "prefix-tier":
-			prefixTierSet = true
-		case "duration":
-			durationSet = true
-		}
-	})
-	if prefixTierSet && !*prefixFlag {
-		return fmt.Errorf("-prefix-tier needs -prefix")
-	}
-	if err := resolveSource(*traceFlag, *specFlag, *profile, *prefixFlag); err != nil {
-		return err
-	}
-	if *prefixTier < 0 {
-		return fmt.Errorf("-prefix-tier %d: need a non-negative block count", *prefixTier)
-	}
-	roles, nReplicas, err := resolveFleet(*replicas, replicasSet, *rolesFlag)
-	if err != nil {
-		return err
-	}
-	*replicas = nReplicas
-	policy, err := resolveAutoscale(*autoscaleFlag, *replicas)
-	if err != nil {
-		return err
-	}
-	faultSpec, faultRec, err := resolveFaults(*faultsFlag, *recoveryFlag)
-	if err != nil {
-		return err
-	}
-	if !faultSpec.Empty() && *replicas < 2 && len(roles) == 0 {
-		return fmt.Errorf("-faults needs a cluster: set -replicas > 1 or -roles")
-	}
 	var setup experiments.ModelSetup
 	switch *model {
 	case "llama":
@@ -324,271 +219,181 @@ func run(args []string, w io.Writer) error {
 	case "qwen":
 		setup = experiments.Qwen32B()
 	default:
-		return fmt.Errorf("unknown model %q (llama, qwen)", *model)
+		return nil, fmt.Errorf("unknown model %q (llama, qwen)", *model)
+	}
+	if *replicas < 1 {
+		return nil, fmt.Errorf("-replicas %d: need at least 1", *replicas)
 	}
 	if *snapEvery <= 0 {
-		return fmt.Errorf("-snapshot-every %g: need a positive interval", *snapEvery)
+		return nil, fmt.Errorf("-snapshot-every %g: need a positive interval", *snapEvery)
 	}
-	totalRPS := *rps * float64(*replicas)
-	var rate workload.RateFn
-	var maxRate float64
-	if *profile != "" {
-		rate, maxRate, err = workload.RateProfile(*profile, totalRPS, *duration)
-		if err != nil {
-			return err
-		}
+	if *traceFlag != "" && *specFlag != "" {
+		return nil, fmt.Errorf("-trace and -spec each pick the workload source; set at most one")
 	}
-
-	mix := workload.DefaultMix
+	c := &cli{
+		mix: workload.DefaultMix, sloScale: *sloScale,
+		tracePath: *traceFlag, specPath: *specFlag,
+		prefix: *prefixFlag, prefixTier: *prefixTier,
+		live: *live, percentiles: *percentiles,
+		export: *exportFlag, spanOut: *spanOut, metricsOut: *metricsOut,
+	}
 	if *urgent > 0 {
-		mix = workload.UrgentMix(*urgent)
+		c.mix = workload.UrgentMix(*urgent)
 	}
-	gen, err := experiments.NewGenerator(setup, mix, *sloScale, mathutil.Hash2(*seed, 0x51e))
-	if err != nil {
-		return err
+	sc := experiments.Scenario{
+		System: experiments.SystemKind(*system), Setup: setup, Seed: *seed, Duration: *duration,
+		Router: *router, Autoscale: *autoscaleFlag,
 	}
-	fmt.Fprintf(w, "model: %s (baseline %.1f ms/token)\n", setup.Name, 1e3*setup.BaselineLatency())
-
-	// Build the source: closed trace replay by default, trace-file replay
-	// under -trace (or -spec, which compiles one first), open-loop with the
-	// chosen rate shape when -rate-profile is set, closed-loop sessions under
-	// -prefix (follow-up turns submitted from the finish observer below).
-	var src serve.Source
-	var traceReqs []*request.Request
-	var sessions *workload.Sessions
-	var submitSrc *serve.SubmitSource
-	if *traceFlag != "" || *specFlag != "" {
-		tr, err := loadReplayTrace(*traceFlag, *specFlag, setup, *duration, durationSet, *seed)
-		if err != nil {
-			return err
+	var err error
+	if *rolesFlag != "" {
+		if sc.Roles, err = cluster.ParseSplit(*rolesFlag); err != nil {
+			return nil, err
 		}
-		src, err = trace.NewSource(tr)
-		if err != nil {
-			return err
-		}
-		// Downstream cadences (autoscale, adaptive, fault horizon) follow the
-		// replayed trace's span, not the synthetic default.
-		*duration = tr.Duration()
-		st := tr.Stats()
-		what := "replaying " + *traceFlag
-		if *specFlag != "" {
-			what = fmt.Sprintf("compiled %s (seed %d)", *specFlag, tr.Header.Seed)
-		}
-		fmt.Fprintf(w, "trace: %s: %d arrivals over %.1fs (mean %.2f rps, %d classes; -rps ignored)\n",
-			what, st.Arrivals, tr.Duration(), st.MeanRPS, len(tr.Header.Classes))
-	} else if *prefixFlag {
-		sessions, err = experiments.NewSessions(setup, *seed)
-		if err != nil {
-			return err
-		}
-		submitSrc = serve.NewSubmitSource()
-		init := sessions.InitialRequests()
-		for _, r := range init {
-			if err := submitSrc.Submit(r); err != nil {
-				return err
-			}
-		}
-		src = submitSrc
-		fmt.Fprintf(w, "workload: %d multi-turn sessions, closed-loop follow-ups (host tier %d blocks; -duration and -rps ignored)\n",
-			len(init), *prefixTier)
-	} else if rate != nil {
-		src, err = serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(*seed, 0x7a)), rate, maxRate, *duration)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "workload: open-loop %s profile, mean %.2f rps over %.0fs\n", *profile, totalRPS, *duration)
-	} else {
-		ts := workload.RealTrace(mathutil.NewRNG(mathutil.Hash2(*seed, 0x7a)), totalRPS, *duration)
-		traceReqs = gen.FromTimestamps(ts)
-		st := workload.StreamStats(traceReqs)
-		fmt.Fprintf(w, "trace: %d requests, %.2f rps, mean prompt %.0f, mean output %.0f\n",
-			st.Requests, st.MeanRPS, st.MeanPrompt, st.MeanOutput)
-		ts2, err := serve.NewTraceSource(traceReqs)
-		if err != nil {
-			return err
-		}
-		src = ts2
 	}
-
-	// Build the backend: one system, or a (possibly disaggregated, possibly
-	// elastic) cluster.
-	var backend serve.Backend
-	var cl *cluster.Cluster
-	var sys sched.System
-	buildOpts := experiments.BuildOptions{Seed: *seed}
+	if set["replicas"] || len(sc.Roles) == 0 {
+		sc.Replicas = *replicas
+	}
+	c.rps = *rps * float64(sc.Size())
+	if sc.Faults, err = faults.ParseSpec(*faultsFlag); err != nil {
+		return nil, err
+	}
+	if sc.Recovery, err = faults.ParseRecovery(*recoveryFlag); err != nil {
+		return nil, err
+	}
+	if *prefixFlag || set["prefix-tier"] {
+		sc.Build = experiments.BuildOptions{Prefix: *prefixFlag, PrefixHostBlocks: *prefixTier}
+	}
 	if *prefixFlag {
-		buildOpts.Prefix = true
-		buildOpts.PrefixHostBlocks = *prefixTier
+		sessions, err := experiments.NewSessions(setup, *seed)
+		if err != nil {
+			return nil, err
+		}
+		sc.Sessions = sessions
 	}
-	switch {
-	case policy != nil:
-		eopts := cluster.ElasticOptions{
-			ColdStart:     experiments.AutoscaleColdStart(*duration),
-			InitialActive: 1,
-		}
-		if len(roles) > 0 {
-			cl, err = experiments.BuildElasticDisagg(kind, setup, roles, *router, eopts, buildOpts)
-		} else {
-			cl, err = experiments.BuildElasticCluster(kind, setup, *replicas, *router, eopts, buildOpts)
-		}
-		if err != nil {
-			return err
-		}
-		backend = cl
-	case *replicas > 1 || len(roles) > 0:
-		if len(roles) > 0 {
-			cl, err = experiments.BuildDisagg(kind, setup, roles, *router, buildOpts)
-		} else {
-			cl, err = experiments.BuildCluster(kind, setup, *replicas, *router, buildOpts)
-		}
-		if err != nil {
-			return err
-		}
-		backend = cl
-	default:
-		sys, err = experiments.Build(kind, setup, buildOpts)
-		if err != nil {
-			return err
-		}
-		backend = serve.SingleSystem(sys)
+	if *profile != "" {
+		sc.OpenLoop = &experiments.OpenLoop{Profile: *profile, MeanRPS: c.rps, Mix: c.mix, SLOScale: *sloScale, GenSalt: 0x51e}
 	}
-
-	opts := serve.Options{}
+	if *traceFlag != "" || *specFlag != "" {
+		if sc.Replay, err = loadReplayTrace(*traceFlag, *specFlag, setup, *duration, set["duration"], *seed); err != nil {
+			return nil, err
+		}
+		// Controller cadences and the fault horizon follow the replayed
+		// trace's span, not the synthetic default.
+		sc.Duration = sc.Replay.Duration()
+	}
+	sc.Adaptive = resolveAdaptive(*adaptiveFlag, *admissionFlag, sc.Duration)
 	if *live || *metricsOut != "" {
 		// The metrics exporter's series is the same snapshot grid -live tails.
-		opts.SnapshotEvery = *snapEvery
+		sc.SnapshotEvery = *snapEvery
 	}
-	var inj *faults.Injector
-	if !faultSpec.Empty() {
-		inj, err = faults.New(cl, faultSpec, faults.Options{
-			Seed: *seed, Horizon: *duration, Recovery: faultRec,
-		})
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	c.sc = sc
+	return c, nil
+}
+
+// run parses args and drives one simulation, writing every report line to w.
+func run(args []string, w io.Writer) error {
+	c, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	sc := &c.sc
+	fmt.Fprintf(w, "model: %s (baseline %.1f ms/token)\n", sc.Setup.Name, 1e3*sc.Setup.BaselineLatency())
+	switch {
+	case sc.Replay != nil:
+		st := sc.Replay.Stats()
+		what := "replaying " + c.tracePath
+		if c.specPath != "" {
+			what = fmt.Sprintf("compiled %s (seed %d)", c.specPath, sc.Replay.Header.Seed)
+		}
+		fmt.Fprintf(w, "trace: %s: %d arrivals over %.1fs (mean %.2f rps, %d classes; -rps ignored)\n",
+			what, st.Arrivals, sc.Replay.Duration(), st.MeanRPS, len(sc.Replay.Header.Classes))
+	case sc.Sessions != nil:
+		fmt.Fprintf(w, "workload: %d multi-turn sessions, closed-loop follow-ups (host tier %d blocks; -duration and -rps ignored)\n",
+			experiments.PrefixTenants, c.prefixTier)
+	case sc.OpenLoop != nil:
+		fmt.Fprintf(w, "workload: open-loop %s profile, mean %.2f rps over %.0fs\n", sc.OpenLoop.Profile, c.rps, sc.Duration)
+	default:
+		gen, err := experiments.NewGenerator(sc.Setup, c.mix, c.sloScale, mathutil.Hash2(sc.Seed, 0x51e))
 		if err != nil {
 			return err
 		}
-		opts.Faults = inj
-		fmt.Fprintf(w, "faults: %s [recovery %s]\n", faultSpec, faultRec)
+		sc.Trace = gen.FromTimestamps(workload.RealTrace(mathutil.NewRNG(mathutil.Hash2(sc.Seed, 0x7a)), c.rps, sc.Duration))
+		st := workload.StreamStats(sc.Trace)
+		fmt.Fprintf(w, "trace: %d requests, %.2f rps, mean prompt %.0f, mean output %.0f\n",
+			st.Requests, st.MeanRPS, st.MeanPrompt, st.MeanOutput)
 	}
-	if policy != nil {
-		ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: experiments.AutoscaleInterval(*duration),
-			Window:   experiments.AutoscaleWindow(*duration),
-		})
-		if err != nil {
-			return err
-		}
-		opts.Autoscaler = ctrl
+	if !sc.Faults.Empty() {
+		fmt.Fprintf(w, "faults: %s [recovery %s]\n", sc.Faults, sc.Recovery)
+	}
+	if sc.Autoscale != "" {
 		fmt.Fprintf(w, "autoscale: %s policy over a %d-replica capacity fleet (cold start %.1fs, decisions every %.1fs)\n",
-			policy.Name(), *replicas, experiments.AutoscaleColdStart(*duration), experiments.AutoscaleInterval(*duration))
+			sc.Autoscale, sc.Size(), experiments.AutoscaleColdStart(sc.Duration), experiments.AutoscaleInterval(sc.Duration))
 	}
-	var actrl *adaptive.Controller
-	if cfg := resolveAdaptive(*adaptiveFlag, *admissionFlag, *duration); cfg != nil {
-		actrl, err = adaptive.New(backend, *cfg)
-		if err != nil {
-			return err
+	if cfg := sc.Adaptive; cfg != nil {
+		var parts []string
+		if !cfg.DisableTuning {
+			parts = append(parts, "speculation tuning")
 		}
-		parts := ""
-		if *adaptiveFlag {
-			parts = "speculation tuning"
-		}
-		if *admissionFlag {
-			if parts != "" {
-				parts += " + "
-			}
-			parts += "overload admission"
+		if !cfg.DisableAdmission {
+			parts = append(parts, "overload admission")
 		}
 		fmt.Fprintf(w, "adaptive: %s (retune every %.1fs, %.1fs windows)\n",
-			parts, cfg.Interval, cfg.Window)
-		opts.Adaptive = actrl
+			strings.Join(parts, " + "), cfg.Interval, cfg.Window)
 	}
-	srv, err := serve.NewServer(backend, opts)
-	if err != nil {
-		return err
-	}
+
 	var exporter *trace.Exporter
-	if *exportFlag != "" {
-		exporter = trace.NewExporter(trace.ExportOptions{Seed: *seed, Source: "export:adaserve-sim"})
-		srv.Subscribe(exporter)
+	if c.export != "" {
+		exporter = trace.NewExporter(trace.ExportOptions{Seed: sc.Seed, Source: "export:adaserve-sim"})
+		sc.Observers = append(sc.Observers, exporter)
 	}
 	var spans *obs.SpanRecorder
-	if *spanOut != "" {
+	if c.spanOut != "" {
 		spans = obs.NewSpanRecorder()
-		srv.Subscribe(spans)
+		sc.Observers = append(sc.Observers, spans)
 	}
 	var mexp *obs.MetricsExporter
-	if *metricsOut != "" {
+	if c.metricsOut != "" {
 		mexp = obs.NewMetricsExporter()
-		srv.Subscribe(mexp)
+		sc.Observers = append(sc.Observers, mexp)
 	}
-	if *live {
+	if c.live {
 		fmt.Fprintln(w)
-		pfx := prefixStatsFn(*prefixFlag, cl, sys)
-		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) { liveEvent(w, ev, cl, pfx) }))
+		sc.Live = func(b serve.Backend) serve.Observer {
+			cl, _ := b.(*cluster.Cluster)
+			pfx := prefixStatsFn(c.prefix, b)
+			return serve.ObserverFunc(func(ev serve.Event) { liveEvent(w, ev, cl, pfx) })
+		}
 	}
-	var submitErr error
-	if sessions != nil {
-		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
-			e, ok := ev.(serve.RequestFinished)
-			if !ok {
-				return
-			}
-			if next := sessions.FollowUp(e.Req, e.Time); next != nil {
-				if err := submitSrc.Submit(next); err != nil && submitErr == nil {
-					submitErr = err
-				}
-			}
-		}))
-	}
-	rr, err := srv.Run(src)
+	res, err := sc.Run()
 	if err != nil {
 		return err
-	}
-	if submitErr != nil {
-		return submitErr
 	}
 	if exporter != nil {
 		tr, err := exporter.Trace()
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*exportFlag, []byte(tr.Format()), 0o644); err != nil {
+		if err := os.WriteFile(c.export, []byte(tr.Format()), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "exported %d admitted arrivals to %s\n", len(tr.Arrivals), *exportFlag)
+		fmt.Fprintf(w, "exported %d admitted arrivals to %s\n", len(tr.Arrivals), c.export)
 	}
 
-	if cl != nil {
-		// Closed replay aggregates over the trace in trace order (matching
-		// cluster.Run byte-for-byte); open-loop runs aggregate over every
-		// dispatched request.
-		res := cl.Results(rr, traceReqs)
-		if policy != nil {
-			res.Summary.Autoscale.Policy = policy.Name()
+	if res.Cluster != nil {
+		printCluster(w, res.Cluster, sc.Size())
+	} else {
+		printSingle(w, res.Summary, res.Serve)
+		if res.Adaptive != nil {
+			fmt.Fprintln(w, res.Adaptive.Summary().String())
 		}
-		if actrl != nil {
-			asum := actrl.Summary()
-			res.Summary.Admission = &asum
+		if pfx := prefixStatsFn(c.prefix, res.Backend); pfx != nil {
+			fmt.Fprintln(w, pfx().String())
 		}
-		if inj != nil {
-			fsum := inj.Summary(rr.EndTime)
-			res.Summary.Faults = &fsum
-		}
-		printCluster(w, res, *replicas)
-		return finishObs(w, spans, *spanOut, mexp, *metricsOut, *percentiles, res.Summary.Aggregate)
 	}
-	reqs := traceReqs
-	if reqs == nil {
-		reqs = sys.Pool().Done()
-	}
-	sum := metrics.Summarize(sys.Name(), reqs, rr.Breakdown)
-	printSingle(w, sum, rr)
-	if actrl != nil {
-		fmt.Fprintln(w, actrl.Summary().String())
-	}
-	if pfx := prefixStatsFn(*prefixFlag, nil, sys); pfx != nil {
-		fmt.Fprintln(w, pfx().String())
-	}
-	return finishObs(w, spans, *spanOut, mexp, *metricsOut, *percentiles, sum)
+	return finishObs(w, spans, c.spanOut, mexp, c.metricsOut, c.percentiles, res.Summary)
 }
 
 // finishObs renders the observability outputs after the run: the Perfetto
@@ -637,20 +442,20 @@ type kvPrefixStatser interface {
 // prefixStatsFn returns a poller that sums the live prefix-cache counters
 // across the backend's replicas into a printable summary, or nil when -prefix
 // is off.
-func prefixStatsFn(on bool, cl *cluster.Cluster, sys sched.System) func() *metrics.PrefixSummary {
+func prefixStatsFn(on bool, b serve.Backend) func() *metrics.PrefixSummary {
 	if !on {
 		return nil
 	}
 	return func() *metrics.PrefixSummary {
 		tot := &metrics.PrefixSummary{}
-		add := func(s sched.System) {
-			p, ok := s.(kvPrefixStatser)
+		for _, in := range b.Instances() {
+			p, ok := in.System().(kvPrefixStatser)
 			if !ok {
-				return
+				continue
 			}
 			st, enabled := p.KVPrefixStats()
 			if !enabled {
-				return
+				continue
 			}
 			tot.Add(metrics.PrefixSummary{
 				Lookups: st.Lookups, Hits: st.Hits, HitTokens: st.HitTokens,
@@ -658,13 +463,6 @@ func prefixStatsFn(on bool, cl *cluster.Cluster, sys sched.System) func() *metri
 				Reloads: st.Reloads, ReloadedTokens: st.ReloadedTokens,
 				ReloadStallTime: st.ReloadStall,
 			})
-		}
-		if cl != nil {
-			for _, rep := range cl.Replicas() {
-				add(rep.System())
-			}
-		} else {
-			add(sys)
 		}
 		return tot
 	}

@@ -11,50 +11,65 @@ import (
 
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/obs"
 	"adaserve/internal/request"
 	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
+
+// parseErr parses a command line and returns the error parseArgs reports.
+func parseErr(args ...string) error {
+	_, err := parseArgs(args)
+	return err
+}
+
+// wantErr fails unless err contains want (or is nil when want is empty), and
+// keeps every error to one line.
+func wantErr(t *testing.T, err error, want string) {
+	t.Helper()
+	if want == "" {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error = %v, want one containing %q", err, want)
+	}
+	if strings.Contains(err.Error(), "\n") {
+		t.Fatalf("error is not one line: %q", err)
+	}
+}
 
 // TestResolveFleet is the -replicas/-roles validation table: -roles implies
 // the count, and an explicitly set -replicas that contradicts it fails with
 // a one-line error instead of being silently overridden.
 func TestResolveFleet(t *testing.T) {
 	cases := []struct {
-		name        string
-		replicas    int
-		replicasSet bool
-		roles       string
-		wantN       int
-		wantRoles   int
-		wantErr     string
+		name      string
+		args      []string
+		wantN     int
+		wantRoles int
+		wantErr   string
 	}{
-		{name: "default single", replicas: 1, wantN: 1},
-		{name: "explicit cluster", replicas: 4, replicasSet: true, wantN: 4},
-		{name: "zero replicas", replicas: 0, replicasSet: true, wantErr: "need at least 1"},
-		{name: "roles imply count", replicas: 1, roles: "2P2D", wantN: 4, wantRoles: 4},
-		{name: "agreeing replicas", replicas: 4, replicasSet: true, roles: "2P2D", wantN: 4, wantRoles: 4},
-		{name: "contradicting replicas", replicas: 3, replicasSet: true, roles: "2P2D", wantErr: "contradicts"},
-		{name: "contradicting mixed split", replicas: 2, replicasSet: true, roles: "mixed4", wantErr: "contradicts"},
-		{name: "bad split", replicas: 1, roles: "2X2D", wantErr: "bad role split"},
+		{name: "default single", wantN: 1},
+		{name: "explicit cluster", args: []string{"-replicas", "4"}, wantN: 4},
+		{name: "zero replicas", args: []string{"-replicas", "0"}, wantErr: "need at least 1"},
+		{name: "roles imply count", args: []string{"-roles", "2P2D"}, wantN: 4, wantRoles: 4},
+		{name: "agreeing replicas", args: []string{"-replicas", "4", "-roles", "2P2D"}, wantN: 4, wantRoles: 4},
+		{name: "contradicting replicas", args: []string{"-replicas", "3", "-roles", "2P2D"}, wantErr: "contradicts"},
+		{name: "contradicting mixed split", args: []string{"-replicas", "2", "-roles", "mixed4"}, wantErr: "contradicts"},
+		{name: "bad split", args: []string{"-roles", "2X2D"}, wantErr: "bad role split"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			roles, n, err := resolveFleet(c.replicas, c.replicasSet, c.roles)
-			if c.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-					t.Fatalf("error = %v, want one containing %q", err, c.wantErr)
-				}
+			got, err := parseArgs(c.args)
+			wantErr(t, err, c.wantErr)
+			if err != nil {
 				return
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != c.wantN || len(roles) != c.wantRoles {
-				t.Fatalf("got %d replicas, %d roles; want %d, %d", n, len(roles), c.wantN, c.wantRoles)
+			if got.sc.Size() != c.wantN || len(got.sc.Roles) != c.wantRoles {
+				t.Fatalf("got %d replicas, %d roles; want %d, %d", got.sc.Size(), len(got.sc.Roles), c.wantN, c.wantRoles)
 			}
 		})
 	}
@@ -62,42 +77,39 @@ func TestResolveFleet(t *testing.T) {
 
 // TestResolveSource is the workload-source validation table: -trace, -spec,
 // -rate-profile and -prefix each replace the default arrival stream, so any
-// pair of them fails with a one-line error naming the clashing flags.
+// pair of them fails with a one-line error naming the clashing sources.
 func TestResolveSource(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "x.spec")
+	if err := os.WriteFile(spec, []byte("#adaserve-spec v1\n#meta duration 4\ncohort a class=chat rate=2 arrival=poisson prompt=fixed:32 output=fixed:32\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := loadReplayTrace("", spec, experiments.Llama70B(), 0, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracef := filepath.Join(dir, "x.trace")
+	if err := os.WriteFile(tracef, []byte(tr.Format()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		name          string
-		tracef, specf string
-		profile       string
-		prefix        bool
-		wantErr       string
+		name    string
+		args    []string
+		wantErr string
 	}{
 		{name: "default closed replay"},
-		{name: "trace only", tracef: "x.trace"},
-		{name: "spec only", specf: "x.spec"},
-		{name: "profile only", profile: "spike"},
-		{name: "prefix only", prefix: true},
-		{name: "trace and spec", tracef: "x", specf: "y", wantErr: "-trace and -spec"},
-		{name: "spec and profile", specf: "y", profile: "spike", wantErr: "-spec and -rate-profile"},
-		{name: "trace and prefix", tracef: "x", prefix: true, wantErr: "-trace and -prefix"},
-		{name: "profile and prefix", profile: "spike", prefix: true, wantErr: "-rate-profile and -prefix"},
-		{name: "all four", tracef: "x", specf: "y", profile: "spike", prefix: true, wantErr: "at most one"},
+		{name: "trace only", args: []string{"-trace", tracef}},
+		{name: "spec only", args: []string{"-spec", spec}},
+		{name: "profile only", args: []string{"-rate-profile", "spike"}},
+		{name: "prefix only", args: []string{"-prefix"}},
+		{name: "trace and spec", args: []string{"-trace", tracef, "-spec", spec}, wantErr: "-trace and -spec"},
+		{name: "spec and profile", args: []string{"-spec", spec, "-rate-profile", "spike"}, wantErr: "open loop and trace replay"},
+		{name: "trace and prefix", args: []string{"-trace", tracef, "-prefix"}, wantErr: "sessions and trace replay"},
+		{name: "profile and prefix", args: []string{"-rate-profile", "spike", "-prefix"}, wantErr: "open loop and sessions"},
+		{name: "all four", args: []string{"-trace", tracef, "-spec", spec, "-rate-profile", "spike", "-prefix"}, wantErr: "at most one"},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := resolveSource(c.tracef, c.specf, c.profile, c.prefix)
-			if c.wantErr == "" {
-				if err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("error = %v, want one containing %q", err, c.wantErr)
-			}
-			if strings.Contains(err.Error(), "\n") {
-				t.Fatalf("error is not one line: %q", err)
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { wantErr(t, parseErr(c.args...), c.wantErr) })
 	}
 }
 
@@ -197,12 +209,7 @@ func TestResolveAdaptive(t *testing.T) {
 
 // TestFleetString covers the -live fleet renderer across lifecycle states.
 func TestFleetString(t *testing.T) {
-	cl, err := experiments.BuildElasticCluster(experiments.SysAdaServe, experiments.Llama70B(),
-		3, "round-robin", cluster.ElasticOptions{ColdStart: 1, InitialActive: 2},
-		experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := elasticFleet(t)
 	if got := fleetString(cl); got != "fleet 2/3" {
 		t.Fatalf("fleetString = %q, want \"fleet 2/3\"", got)
 	}
@@ -233,41 +240,30 @@ func TestResolveAutoscale(t *testing.T) {
 	cases := []struct {
 		name     string
 		policy   string
-		replicas int
-		wantNil  bool
+		replicas string
 		wantErr  string
 	}{
-		{name: "disabled", policy: "", replicas: 1, wantNil: true},
-		{name: "target-queue", policy: "target-queue", replicas: 4},
-		{name: "rate-prop", policy: "rate-prop", replicas: 2},
-		{name: "slo-feedback", policy: "slo-feedback", replicas: 8},
-		{name: "unknown policy", policy: "bogus", replicas: 4, wantErr: "unknown policy"},
-		{name: "single replica", policy: "rate-prop", replicas: 1, wantErr: "capacity fleet"},
+		{name: "disabled", policy: "", replicas: "1"},
+		{name: "target-queue", policy: "target-queue", replicas: "4"},
+		{name: "rate-prop", policy: "rate-prop", replicas: "2"},
+		{name: "slo-feedback", policy: "slo-feedback", replicas: "8"},
+		{name: "unknown policy", policy: "bogus", replicas: "4", wantErr: "unknown policy"},
+		{name: "single replica", policy: "rate-prop", replicas: "1", wantErr: "capacity fleet"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p, err := resolveAutoscale(c.policy, c.replicas)
-			if c.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-					t.Fatalf("error = %v, want one containing %q", err, c.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (p == nil) != c.wantNil {
-				t.Fatalf("policy = %v, wantNil = %v", p, c.wantNil)
-			}
-			if p != nil && p.Name() != c.policy {
-				t.Fatalf("policy name %q, want %q", p.Name(), c.policy)
+			got, err := parseArgs([]string{"-autoscale", c.policy, "-replicas", c.replicas})
+			wantErr(t, err, c.wantErr)
+			if err == nil && got.sc.Autoscale != c.policy {
+				t.Fatalf("policy %q, want %q", got.sc.Autoscale, c.policy)
 			}
 		})
 	}
 }
 
 // TestResolveFaults is the -faults/-recovery validation table: a malformed
-// schedule or recovery mode fails with a one-line error before any setup.
+// schedule or recovery mode — or a schedule on a single replica — fails with
+// a one-line error before any setup.
 func TestResolveFaults(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -286,26 +282,48 @@ func TestResolveFaults(t *testing.T) {
 		{name: "unknown kind", spec: "flood@1", recovery: "retry", wantErr: "flood"},
 		{name: "bad recovery", spec: "crash@30", recovery: "prayer", wantErr: "prayer"},
 		{name: "bad recovery without faults", spec: "", recovery: "prayer", wantErr: "prayer"},
+		{name: "single replica", spec: "crash@30", recovery: "retry", wantErr: "need a cluster"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			spec, _, err := resolveFaults(c.spec, c.recovery)
-			if c.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-					t.Fatalf("error = %v, want one containing %q", err, c.wantErr)
-				}
+			replicas := "2"
+			if c.name == "single replica" {
+				replicas = "1"
+			}
+			got, err := parseArgs([]string{"-faults", c.spec, "-recovery", c.recovery, "-replicas", replicas})
+			wantErr(t, err, c.wantErr)
+			if err != nil {
 				return
 			}
-			if err != nil {
-				t.Fatal(err)
+			if len(got.sc.Faults.Events) != c.wantLen {
+				t.Fatalf("parsed %d events, want %d", len(got.sc.Faults.Events), c.wantLen)
 			}
-			if len(spec.Events) != c.wantLen {
-				t.Fatalf("parsed %d events, want %d", len(spec.Events), c.wantLen)
-			}
-			if (c.spec == "") != spec.Empty() {
-				t.Fatalf("Empty() = %v for spec %q", spec.Empty(), c.spec)
+			if (c.spec == "") != got.sc.Faults.Empty() {
+				t.Fatalf("Empty() = %v for spec %q", got.sc.Faults.Empty(), c.spec)
 			}
 		})
+	}
+}
+
+// TestValidateBeforeWorkload pins the up-front validation order: a
+// configuration Validate refuses fails before any line is printed, where
+// the pre-Scenario CLI synthesized and announced the trace first.
+func TestValidateBeforeWorkload(t *testing.T) {
+	for _, args := range [][]string{
+		{"-system", "vLLM", "-adaptive", "-duration", "5"},
+		{"-prefix-tier", "64"},
+		{"-prefix", "-prefix-tier", "-1"},
+		{"-system", "nope"},
+		{"-router", "nope"},
+		{"-model", "nope"},
+		{"-snapshot-every", "0"},
+		{"-rate-profile", "nope"},
+		{"-replicas", "2", "-faults", "crash@1:r5"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil || out.Len() > 0 {
+			t.Fatalf("%v: err = %v after printing %q; want an error and no output", args, err, out.String())
+		}
 	}
 }
 
@@ -359,12 +377,7 @@ func TestLiveEventRendersEveryKind(t *testing.T) {
 // TestFleetStringStates checks the elastic-fleet occupancy tag across
 // lifecycle states, including the failed count a faulted run surfaces.
 func TestFleetStringStates(t *testing.T) {
-	cl, err := experiments.BuildElasticCluster(experiments.SysAdaServe, experiments.Llama70B(),
-		3, "round-robin", cluster.ElasticOptions{ColdStart: 1, InitialActive: 2},
-		experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := elasticFleet(t)
 	if got := fleetString(cl); !strings.Contains(got, "fleet 2/3") {
 		t.Fatalf("fleet tag %q, want active/size occupancy", got)
 	}
@@ -392,21 +405,41 @@ func mustNil(t *testing.T, err error) {
 	}
 }
 
+// elasticFleet builds a three-replica elastic fleet with two active.
+func elasticFleet(t *testing.T) *cluster.Cluster {
+	t.Helper()
+	b, err := experiments.Scenario{
+		System: experiments.SysAdaServe, Setup: experiments.Llama70B(), Seed: 1,
+		Replicas: 3, Router: "round-robin",
+		Elastic: &cluster.ElasticOptions{ColdStart: 1, InitialActive: 2},
+	}.Backend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.(*cluster.Cluster)
+}
+
 // TestPrefixStatsFn covers the -prefix live-poller wiring: off returns no
 // poller at all, a prefix-enabled fleet sums per-replica counters, and a
 // prefix-enabled single system reports through the same path.
 func TestPrefixStatsFn(t *testing.T) {
-	setup := experiments.Llama70B()
-	if prefixStatsFn(false, nil, nil) != nil {
+	backend := func(replicas int, build experiments.BuildOptions) serve.Backend {
+		t.Helper()
+		b, err := experiments.Scenario{
+			System: experiments.SysAdaServe, Setup: experiments.Llama70B(), Seed: 1,
+			Replicas: replicas, Router: "least-loaded", Build: build,
+		}.Backend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if prefixStatsFn(false, nil) != nil {
 		t.Fatal("-prefix off must disable the poller")
 	}
 
-	bopts := experiments.BuildOptions{Seed: 1, Prefix: true, PrefixHostBlocks: 64}
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, 2, "least-loaded", bopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfx := prefixStatsFn(true, cl, nil)
+	bopts := experiments.BuildOptions{Prefix: true, PrefixHostBlocks: 64}
+	pfx := prefixStatsFn(true, backend(2, bopts))
 	if pfx == nil {
 		t.Fatal("-prefix on returned no poller")
 	}
@@ -414,21 +447,12 @@ func TestPrefixStatsFn(t *testing.T) {
 	if sum == nil || sum.Lookups != 0 {
 		t.Fatalf("idle fleet summary %+v, want zero counters", sum)
 	}
-
-	sys, err := experiments.Build(experiments.SysAdaServe, setup, bopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := prefixStatsFn(true, nil, sys)(); sum == nil {
+	if sum := prefixStatsFn(true, backend(1, bopts))(); sum == nil {
 		t.Fatal("single-system poller returned nil summary")
 	}
 
 	// A prefix-disabled backend contributes nothing even when polled.
-	plain, err := experiments.Build(experiments.SysAdaServe, setup, experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := prefixStatsFn(true, nil, plain)(); sum.Lookups != 0 || sum.Hits != 0 {
+	if sum := prefixStatsFn(true, backend(1, experiments.BuildOptions{}))(); sum.Lookups != 0 || sum.Hits != 0 {
 		t.Fatalf("disabled backend leaked counters: %+v", sum)
 	}
 }
@@ -523,33 +547,15 @@ func TestPrintSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := experiments.BuildDisagg(experiments.SysAdaServe, setup, roles, "slo-aware",
-		experiments.BuildOptions{Seed: 1})
+	run, err := experiments.Scenario{
+		System: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: 3,
+		Roles: roles, Router: "slo-aware",
+		OpenLoop: &experiments.OpenLoop{Profile: "constant", MeanRPS: experiments.AdaptiveMeanRPS(setup), GenSalt: 0xada},
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.NewServer(cl, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const dur = 3.0
-	rate, maxRate, err := workload.RateProfile("constant", experiments.AdaptiveMeanRPS(setup), dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := cl.Results(rr, nil)
+	res, rr := run.Cluster, run.Serve
 	// Populate the optional sections so the report renders every branch a
 	// fully-featured run would.
 	res.Summary.Autoscale = &metrics.AutoscaleSummary{Policy: "none"}

@@ -17,16 +17,11 @@ import (
 	"log"
 
 	"adaserve/internal/adaptive"
-	"adaserve/internal/cluster"
 	"adaserve/internal/core"
 	"adaserve/internal/experiments"
 	"adaserve/internal/gpu"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/metrics"
-	"adaserve/internal/request"
 	"adaserve/internal/sched"
-	"adaserve/internal/serve"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -59,21 +54,15 @@ func main() {
 	reqs := gen.FromTimestamps(ts)
 
 	run := func(name string, opts experiments.BuildOptions) {
-		sys, err := experiments.Build(experiments.SysAdaServe, setup, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cp := make([]*request.Request, len(reqs))
-		for i, r := range reqs {
-			cp[i] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
-		}
-		res, err := sim.Run(sys, cp, sim.Options{})
+		res, err := experiments.Scenario{
+			System: experiments.SysAdaServe, Setup: setup, Seed: 1, Build: opts, Trace: reqs,
+		}.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
 		s := res.Summary
 		extra := ""
-		if a, ok := sys.(*sched.AdaServe); ok && a.Debug.DecodeIters > 0 {
+		if a, ok := res.Backend.Instances()[0].System().(*sched.AdaServe); ok && a.Debug.DecodeIters > 0 {
 			extra = fmt.Sprintf("  (avg depth %.1f)",
 				float64(a.Debug.SumDepth)/float64(a.Debug.DecodeIters))
 		}
@@ -94,43 +83,18 @@ func main() {
 	fmt.Printf("\nflash crowd on a %d-replica fleet (mean %.1f rps, spike burst):\n",
 		experiments.AdaptiveFleet, mean)
 	closed := func(name string, cfg *adaptive.Config) {
-		rate, maxRate, err := workload.RateProfile("spike", mean, duration)
+		res, err := experiments.Scenario{
+			System: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: duration,
+			Replicas: experiments.AdaptiveFleet, Router: experiments.AdaptiveRouter, Adaptive: cfg,
+			OpenLoop: &experiments.OpenLoop{Profile: "spike", MeanRPS: mean, GenSalt: 0xada},
+		}.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		gen2, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
-		if err != nil {
-			log.Fatal(err)
-		}
-		src, err := serve.NewOpenLoop(gen2, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup,
-			experiments.AdaptiveFleet, experiments.AdaptiveRouter, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts := serve.Options{}
-		var actrl *adaptive.Controller
-		if cfg != nil {
-			if actrl, err = adaptive.New(cl, *cfg); err != nil {
-				log.Fatal(err)
-			}
-			opts.Adaptive = actrl
-		}
-		srv, err := serve.NewServer(cl, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rr, err := srv.Run(src)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := res2sum(cl, rr)
+		s := res.Cluster.Summary
 		fmt.Printf("%-22s attainment %5.1f%%, goodput %5.0f tok/s, max TTFT %.2fs",
 			name, 100*s.Attainment(), s.Goodput(), s.Aggregate.MaxTTFT)
-		if actrl != nil {
+		if actrl := res.Adaptive; actrl != nil {
 			a := actrl.Summary()
 			d, w := actrl.Envelope()
 			fmt.Printf("  (%d degraded, %d rejected; envelope d<=%d w<=%d)", a.Degraded, a.Rejected, d, w)
@@ -143,9 +107,4 @@ func main() {
 		log.Fatal(err)
 	}
 	closed("closed loop + gate", cfg)
-}
-
-// res2sum aggregates a cluster run over its admitted requests.
-func res2sum(cl *cluster.Cluster, rr *serve.Result) *metrics.ClusterSummary {
-	return cl.Results(rr, nil).Summary
 }

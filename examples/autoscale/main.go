@@ -16,13 +16,9 @@ import (
 	"fmt"
 	"log"
 
-	"adaserve/internal/autoscale"
-	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 const (
@@ -30,68 +26,27 @@ const (
 	capacity = experiments.AutoscaleFleet
 )
 
-// source builds the diurnal open-loop arrival stream. Every run gets a
-// fresh source seeded identically, so all configurations face the same
-// requests at the same instants.
-func source(setup experiments.ModelSetup) (*serve.OpenLoop, error) {
+// run serves the diurnal open-loop stream with the named configuration
+// ("static" or a policy name) and returns the cluster summary, optionally
+// logging scale events. Every run's stream is seeded identically, so all
+// configurations face the same requests at the same instants.
+func run(setup experiments.ModelSetup, config string, logScale bool) (*metrics.ClusterSummary, error) {
 	mean, err := experiments.AutoscaleMeanRPS(setup, "diurnal")
 	if err != nil {
 		return nil, err
 	}
-	rate, maxRate, err := workload.RateProfile("diurnal", mean, duration)
-	if err != nil {
-		return nil, err
+	sc := experiments.Scenario{
+		System: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: duration,
+		Replicas: capacity, Router: "least-loaded",
+		OpenLoop: &experiments.OpenLoop{Profile: "diurnal", MeanRPS: mean, GenSalt: 0x51e},
 	}
-	gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0x51e))
-	if err != nil {
-		return nil, err
-	}
-	return serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-}
-
-// run serves the stream with the named configuration ("static" or a policy
-// name) and returns the cluster summary, optionally logging scale events.
-func run(setup experiments.ModelSetup, config string, logScale bool) (*metrics.ClusterSummary, error) {
-	src, err := source(setup)
-	if err != nil {
-		return nil, err
-	}
-	var cl *cluster.Cluster
-	opts := serve.Options{}
-	if config == "static" {
-		cl, err = experiments.BuildCluster(experiments.SysAdaServe, setup, capacity,
-			"least-loaded", experiments.BuildOptions{Seed: 1})
-	} else {
-		cl, err = experiments.BuildElasticCluster(experiments.SysAdaServe, setup, capacity,
-			"least-loaded", cluster.ElasticOptions{
-				ColdStart:     experiments.AutoscaleColdStart(duration),
-				InitialActive: 1,
-			}, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		policy, err := autoscale.NewPolicy(config)
-		if err != nil {
-			return nil, err
-		}
-		ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: experiments.AutoscaleInterval(duration),
-			Window:   experiments.AutoscaleWindow(duration),
-		})
-		if err != nil {
-			return nil, err
-		}
-		opts.Autoscaler = ctrl
-	}
-	if err != nil {
-		return nil, err
-	}
-	srv, err := serve.NewServer(cl, opts)
-	if err != nil {
-		return nil, err
+	if config != "static" {
+		// The elastic fleet starts at one replica and scales within the
+		// capacity fleet.
+		sc.Autoscale = config
 	}
 	if logScale {
-		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
+		sc.Observers = []serve.Observer{serve.ObserverFunc(func(ev serve.Event) {
 			switch e := ev.(type) {
 			case serve.ScaleUp:
 				fmt.Printf("  t=%6.1fs  +replica %d -> fleet %d  (%s)\n",
@@ -100,15 +55,13 @@ func run(setup experiments.ModelSetup, config string, logScale bool) (*metrics.C
 				fmt.Printf("  t=%6.1fs  -replica %d -> fleet %d  (%s)\n",
 					e.Time, e.Action.Instance, e.Action.Fleet, e.Action.Reason)
 			}
-		}))
+		})}
 	}
-	rr, err := srv.Run(src)
+	res, err := sc.Run()
 	if err != nil {
 		return nil, err
 	}
-	res := cl.Results(rr, nil)
-	res.Summary.Autoscale.Policy = config
-	return res.Summary, nil
+	return res.Cluster.Summary, nil
 }
 
 func main() {

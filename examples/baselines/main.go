@@ -13,8 +13,6 @@ import (
 
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/request"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -50,15 +48,7 @@ func main() {
 	}
 	var rows []row
 	for _, kind := range systems {
-		sys, err := experiments.Build(kind, setup, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cp := make([]*request.Request, len(reqs))
-		for i, r := range reqs {
-			cp[i] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
-		}
-		res, err := sim.Run(sys, cp, sim.Options{})
+		res, err := experiments.Scenario{System: kind, Setup: setup, Seed: 1, Trace: reqs}.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -24,14 +24,11 @@ import (
 	"fmt"
 	"log"
 
-	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/faults"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 const (
@@ -40,62 +37,26 @@ const (
 	active   = experiments.FaultInitialActive
 )
 
-// source builds the steady open-loop arrival stream at the scenario's
-// operating point. Every run gets a fresh source seeded identically, so all
-// recovery modes face the same requests at the same instants.
-func source(setup experiments.ModelSetup, scenario string) (*serve.OpenLoop, error) {
-	rate, maxRate, err := workload.RateProfile("constant", experiments.FaultMeanRPS(setup, scenario), duration)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xfa))
-	if err != nil {
-		return nil, err
-	}
-	return serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-}
-
-// run serves the stream against the given fault schedule under one recovery
-// mode, optionally narrating the failure lifecycle.
+// run serves the steady open-loop arrival stream at the scenario's operating
+// point against the given fault schedule under one recovery mode, optionally
+// narrating the failure lifecycle. Every run's stream is seeded identically,
+// so all recovery modes face the same requests at the same instants.
 func run(setup experiments.ModelSetup, scenario, spec string, recovery faults.Recovery, narrate bool) (*metrics.ClusterSummary, error) {
-	src, err := source(setup, scenario)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := experiments.BuildElasticCluster(experiments.SysAdaServe, setup, capacity,
-		experiments.FaultRouter, cluster.ElasticOptions{
-			ColdStart:     experiments.AutoscaleColdStart(duration),
-			InitialActive: active,
-		}, experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	policy, err := autoscale.NewPolicy("rate-prop")
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-		Interval: experiments.AutoscaleInterval(duration),
-		Window:   experiments.AutoscaleWindow(duration),
-	})
-	if err != nil {
-		return nil, err
-	}
 	parsed, err := faults.ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	inj, err := faults.New(cl, parsed, faults.Options{Seed: 1, Horizon: duration, Recovery: recovery})
-	if err != nil {
-		return nil, err
-	}
-	srv, err := serve.NewServer(cl, serve.Options{Autoscaler: ctrl, Faults: inj})
-	if err != nil {
-		return nil, err
+	sc := experiments.Scenario{
+		System: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: duration,
+		Replicas: capacity, Router: experiments.FaultRouter,
+		Elastic:   &cluster.ElasticOptions{ColdStart: experiments.AutoscaleColdStart(duration), InitialActive: active},
+		Autoscale: "rate-prop",
+		Faults:    parsed, Recovery: recovery,
+		OpenLoop: &experiments.OpenLoop{Profile: "constant", MeanRPS: experiments.FaultMeanRPS(setup, scenario), GenSalt: 0xfa},
 	}
 	if narrate {
 		hedges := 0
-		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
+		sc.Observers = []serve.Observer{serve.ObserverFunc(func(ev serve.Event) {
 			switch e := ev.(type) {
 			case serve.ReplicaFailed:
 				fmt.Printf("  t=%6.1fs  replica %d crashed (%s): %d resident requests frozen\n",
@@ -117,16 +78,13 @@ func run(setup experiments.ModelSetup, scenario, spec string, recovery faults.Re
 				fmt.Printf("  t=%6.1fs  +replica %d -> fleet %d  (%s)\n",
 					e.Time, e.Action.Instance, e.Action.Fleet, e.Action.Reason)
 			}
-		}))
+		})}
 	}
-	rr, err := srv.Run(src)
+	res, err := sc.Run()
 	if err != nil {
 		return nil, err
 	}
-	res := cl.Results(rr, nil)
-	sum := inj.Summary(rr.EndTime)
-	res.Summary.Faults = &sum
-	return res.Summary, nil
+	return res.Cluster.Summary, nil
 }
 
 // compare prints the recovery-mode table for one fault schedule.

@@ -12,7 +12,6 @@ import (
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/request"
 	"adaserve/internal/workload"
 )
 
@@ -36,34 +35,26 @@ func main() {
 	fmt.Printf("trace: %d requests over 120s\n\n", len(reqs))
 
 	// 3. Replay the identical trace through each router policy. Every run
-	//    builds a fresh cluster (replicas and requests are single-use).
+	//    builds a fresh cluster and replays private request copies.
+	fleet := func(routerName string) *cluster.Result {
+		res, err := experiments.Scenario{
+			System: experiments.SysAdaServe, Setup: setup, Seed: 1,
+			Replicas: replicas, Router: routerName, Trace: reqs,
+		}.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res.Cluster
+	}
 	for _, routerName := range cluster.RouterNames() {
-		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, replicas,
-			routerName, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := cl.Run(request.CloneAll(reqs), cluster.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := res.Summary
+		s := fleet(routerName).Summary
 		fmt.Printf("%-14s attainment %5.1f%% | goodput %7.1f tok/s | imbalance %.2f\n",
 			routerName, 100*s.Attainment(), s.Goodput(), s.RequestImbalance())
 	}
 
 	// 4. Rerun the winner and show its per-replica breakdown.
 	fmt.Println("\nper-replica detail (slo-aware):")
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, replicas,
-		"slo-aware", experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := cl.Run(reqs, cluster.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, rr := range res.PerReplica {
+	for _, rr := range fleet("slo-aware").PerReplica {
 		s := rr.Summary
 		fmt.Printf("  %s: %3d reqs, attain %5.1f%%, %4d iterations, local end %.1fs\n",
 			s.System, s.Requests, 100*s.Attainment(), rr.Iterations, rr.EndTime)

@@ -13,7 +13,6 @@ import (
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/request"
 	"adaserve/internal/workload"
 )
 
@@ -40,28 +39,30 @@ func main() {
 
 	// 3. Replay the identical trace through each fleet layout behind the
 	//    slo-aware router (which balances prompt backlog across prefill
-	//    replicas and per-class residency across decode replicas).
-	for _, split := range experiments.DisaggSplits() {
-		var cl *cluster.Cluster
+	//    replicas and per-class residency across decode replicas). Every
+	//    run replays private copies of the trace.
+	fleet := func(split string) *cluster.Result {
+		sc := experiments.Scenario{
+			System: experiments.SysAdaServe, Setup: setup, Seed: 1,
+			Router: "slo-aware", Trace: reqs,
+		}
 		if split == "colocated" {
-			cl, err = experiments.BuildCluster(experiments.SysAdaServe, setup, 4,
-				"slo-aware", experiments.BuildOptions{Seed: 1})
+			sc.Replicas = 4
 		} else {
-			var roles []cluster.Role
-			roles, err = cluster.ParseSplit(split)
-			if err == nil {
-				cl, err = experiments.BuildDisagg(experiments.SysAdaServe, setup, roles,
-					"slo-aware", experiments.BuildOptions{Seed: 1})
+			roles, err := cluster.ParseSplit(split)
+			if err != nil {
+				log.Fatal(err)
 			}
+			sc.Roles = roles
 		}
+		res, err := sc.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := cl.Run(request.CloneAll(reqs), cluster.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := res.Summary
+		return res.Cluster
+	}
+	for _, split := range experiments.DisaggSplits() {
+		s := fleet(split).Summary
 		fmt.Printf("%-10s TTFT attain %5.1f%% | TPOT attain %5.1f%% | goodput %7.1f tok/s",
 			split, 100*s.TTFTAttainment(), 100*s.Attainment(), s.Goodput())
 		if s.Transfer.Count > 0 {
@@ -73,19 +74,7 @@ func main() {
 	// 4. Rerun the balanced split and show the per-role view: who served
 	//    which stage, and how attainment splits across the fleet.
 	fmt.Println("\nper-role detail (2P2D, slo-aware):")
-	roles, err := cluster.ParseSplit("2P2D")
-	if err != nil {
-		log.Fatal(err)
-	}
-	cl, err := experiments.BuildDisagg(experiments.SysAdaServe, setup, roles,
-		"slo-aware", experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := cl.Run(reqs, cluster.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := fleet("2P2D")
 	stage := func(n int, noun, metric string, attain float64) string {
 		if n == 0 {
 			return fmt.Sprintf("%4d %s", n, noun)

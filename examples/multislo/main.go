@@ -14,7 +14,6 @@ import (
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/request"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -33,15 +32,7 @@ func main() {
 	reqs := gen.FromTimestamps(ts)
 
 	for _, kind := range []experiments.SystemKind{experiments.SysAdaServe, experiments.SysVLLM} {
-		sys, err := experiments.Build(kind, setup, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cp := make([]*request.Request, len(reqs))
-		for i, r := range reqs {
-			cp[i] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
-		}
-		res, err := sim.Run(sys, cp, sim.Options{})
+		res, err := experiments.Scenario{System: kind, Setup: setup, Seed: 1, Trace: reqs}.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

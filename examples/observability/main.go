@@ -27,11 +27,9 @@ import (
 
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/obs"
 	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 const duration = 20 // simulated seconds of arrivals
@@ -45,43 +43,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl, err := experiments.BuildDisagg(experiments.SysAdaServe, setup, roles, "slo-aware",
-		experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := serve.NewServer(cl, serve.Options{SnapshotEvery: 5})
-	if err != nil {
-		log.Fatal(err)
-	}
 
-	// 2. Subscribe the observers before the run.
+	// 2. Attach the observers, then serve a spike-profile open loop at the
+	//    fleet's operating point with snapshots every 5 simulated seconds.
 	spans := obs.NewSpanRecorder()
 	mexp := obs.NewMetricsExporter()
-	srv.Subscribe(spans)
-	srv.Subscribe(mexp)
+	res, err := experiments.Scenario{
+		System: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: duration,
+		Roles: roles, Router: "slo-aware",
+		OpenLoop:      &experiments.OpenLoop{Profile: "spike", MeanRPS: experiments.AdaptiveMeanRPS(setup), GenSalt: 0xada},
+		Observers:     []serve.Observer{spans, mexp},
+		SnapshotEvery: 5,
+	}.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	sum := res.Summary
 
-	// 3. Serve a spike-profile open loop at the fleet's operating point.
-	gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
-	if err != nil {
-		log.Fatal(err)
-	}
-	rate, maxRate, err := workload.RateProfile("spike", experiments.AdaptiveMeanRPS(setup), duration)
-	if err != nil {
-		log.Fatal(err)
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res := cl.Results(rr, nil)
-	sum := res.Summary.Aggregate
-
-	// 4. Export the span timelines as a Perfetto trace.
+	// 3. Export the span timelines as a Perfetto trace.
 	var trace bytes.Buffer
 	if err := spans.WriteTrace(&trace); err != nil {
 		log.Fatal(err)
@@ -101,7 +80,7 @@ func main() {
 	fmt.Printf("spans.json: %d request timelines, %d KV-transfer spans (open in ui.perfetto.dev)\n",
 		len(timelines), transfers)
 
-	// 5. Export the metrics series both ways.
+	// 4. Export the metrics series both ways.
 	var prom, js bytes.Buffer
 	if err := mexp.WritePrometheus(&prom, sum); err != nil {
 		log.Fatal(err)
@@ -118,11 +97,11 @@ func main() {
 	fmt.Printf("metrics.prom / metrics.json: %d snapshot grid points + terminal summary\n",
 		len(mexp.Snapshots()))
 
-	// 6. The same digests back the terminal percentile table — computed from
+	// 5. The same digests back the terminal percentile table — computed from
 	//    fixed-size histograms, never from retained per-request slices.
 	fmt.Println()
 	fmt.Print(obs.PercentileTable(sum))
-	fmt.Printf("\n%s\n", summaryLine(sum, rr))
+	fmt.Printf("\n%s\n", summaryLine(sum, res.Serve))
 }
 
 // summaryLine condenses the run outcome to one line.

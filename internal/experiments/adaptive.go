@@ -5,10 +5,7 @@ import (
 	"strings"
 
 	"adaserve/internal/adaptive"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
-	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 // AdaptiveFleet is the flash-crowd experiment's fixed fleet: small enough
@@ -115,49 +112,19 @@ func AdaptiveConfig(config string, duration float64) (*adaptive.Config, error) {
 // profile's cells, so every configuration faces the same requests at the
 // same instants; what differs is only what the controller does about them.
 func AdaptiveCell(setup ModelSetup, config, profile string, opts RunOptions) (*metrics.ClusterSummary, error) {
-	rate, maxRate, err := workload.RateProfile(profile, AdaptiveMeanRPS(setup), opts.Duration)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0xada))
-	if err != nil {
-		return nil, err
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(opts.Seed, 0x7a)), rate, maxRate, opts.Duration)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := BuildCluster(SysAdaServe, setup, AdaptiveFleet, AdaptiveRouter, BuildOptions{Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
 	cfg, err := AdaptiveConfig(config, opts.Duration)
 	if err != nil {
 		return nil, err
 	}
-	srvOpts := serve.Options{}
-	var ctrl *adaptive.Controller
-	if cfg != nil {
-		ctrl, err = adaptive.New(cl, *cfg)
-		if err != nil {
-			return nil, err
-		}
-		srvOpts.Adaptive = ctrl
-	}
-	srv, err := serve.NewServer(cl, srvOpts)
+	res, err := Scenario{
+		System: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Replicas: AdaptiveFleet, Router: AdaptiveRouter, Adaptive: cfg,
+		OpenLoop: &OpenLoop{Profile: profile, MeanRPS: AdaptiveMeanRPS(setup), GenSalt: 0xada},
+	}.Run()
 	if err != nil {
 		return nil, err
 	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	res := cl.Results(rr, nil)
-	if ctrl != nil {
-		sum := ctrl.Summary()
-		res.Summary.Admission = &sum
-	}
-	return res.Summary, nil
+	return res.Cluster.Summary, nil
 }
 
 // RenderAdaptive formats the flash-crowd sweep as one aligned table per
@@ -165,20 +132,8 @@ func AdaptiveCell(setup ModelSetup, config, profile string, opts RunOptions) (*m
 // counts only admitted requests (rejected ones never produce tokens), so the
 // admission row trades a visible rejected count for goodput and tail bounds.
 func RenderAdaptive(pts []AdaptivePoint) string {
-	profiles := make([]string, 0)
-	seenP := map[string]bool{}
-	configs := make([]string, 0)
-	seenC := map[string]bool{}
-	for _, p := range pts {
-		if !seenP[p.Profile] {
-			seenP[p.Profile] = true
-			profiles = append(profiles, p.Profile)
-		}
-		if !seenC[p.Config] {
-			seenC[p.Config] = true
-			configs = append(configs, p.Config)
-		}
-	}
+	profiles := distinct(pts, func(p AdaptivePoint) string { return p.Profile })
+	configs := distinct(pts, func(p AdaptivePoint) string { return p.Config })
 	metricsCols := []struct {
 		name string
 		f    func(*metrics.ClusterSummary) float64

@@ -4,10 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"adaserve/internal/adaptive"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 // adaptiveOpts mirrors autoscaleOpts: long enough for the spike's burst to
@@ -84,31 +81,7 @@ func TestAdmissionEventStream(t *testing.T) {
 	setup := Llama70B()
 	opts := adaptiveOpts(1)
 	opts.fill()
-	rate, maxRate, err := workload.RateProfile("spike", AdaptiveMeanRPS(setup), opts.Duration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0xada))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(opts.Seed, 0x7a)), rate, maxRate, opts.Duration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := BuildCluster(SysAdaServe, setup, AdaptiveFleet, AdaptiveRouter, BuildOptions{Seed: opts.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg, err := AdaptiveConfig("adaptive+admission", opts.Duration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := adaptive.New(cl, *cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.NewServer(cl, serve.Options{Adaptive: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +90,7 @@ func TestAdmissionEventStream(t *testing.T) {
 	rejected := map[int]int{}
 	degraded := map[int]int{}
 	admitted := map[int]int{}
-	srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
+	check := serve.ObserverFunc(func(ev serve.Event) {
 		if ev.EventSeq() != lastSeq+1 {
 			t.Fatalf("seq gap: %d after %d (%T)", ev.EventSeq(), lastSeq, ev)
 		}
@@ -156,8 +129,14 @@ func TestAdmissionEventStream(t *testing.T) {
 					e.Req.ID, e.Req.AcceptedTokens, e.Req.VerifySteps)
 			}
 		}
-	}))
-	if _, err := srv.Run(src); err != nil {
+	})
+	res, err := Scenario{
+		System: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Replicas: AdaptiveFleet, Router: AdaptiveRouter, Adaptive: cfg,
+		OpenLoop:  &OpenLoop{Profile: "spike", MeanRPS: AdaptiveMeanRPS(setup), GenSalt: 0xada},
+		Observers: []serve.Observer{check},
+	}.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,7 +156,7 @@ func TestAdmissionEventStream(t *testing.T) {
 			t.Errorf("degraded request %d admitted %d times, want exactly 1", id, admitted[id])
 		}
 	}
-	sum := ctrl.Summary()
+	sum := res.Adaptive.Summary()
 	if sum.Rejected != len(rejected) || sum.Degraded != len(degraded) {
 		t.Errorf("AdmissionSummary %d rejected / %d degraded, event stream saw %d / %d",
 			sum.Rejected, sum.Degraded, len(rejected), len(degraded))

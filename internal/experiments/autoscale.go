@@ -6,11 +6,7 @@ import (
 
 	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
-	"adaserve/internal/gpu"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
-	"adaserve/internal/sched"
-	"adaserve/internal/serve"
 	"adaserve/internal/workload"
 )
 
@@ -49,47 +45,6 @@ func AutoscaleMeanRPS(setup ModelSetup, profile string) (float64, error) {
 func AutoscaleInterval(duration float64) float64  { return duration / 30 }
 func AutoscaleColdStart(duration float64) float64 { return duration / 20 }
 func AutoscaleWindow(duration float64) float64    { return duration / 8 }
-
-// elasticTransfer is the KV-handoff model elastic clusters price drain
-// migrations (and disaggregated prefill-to-decode handoffs) over.
-func elasticTransfer(setup ModelSetup) gpu.KVTransfer {
-	return gpu.KVTransfer{Model: setup.Target, Link: DisaggLink}
-}
-
-// BuildElasticCluster assembles an n-replica colocated capacity fleet whose
-// replica lifecycle an autoscale controller drives. Per-replica engine
-// seeding matches BuildCluster exactly, so replica i behaves identically
-// whether the fleet around it is static or elastic.
-func BuildElasticCluster(kind SystemKind, setup ModelSetup, n int, routerName string,
-	eopts cluster.ElasticOptions, opts BuildOptions) (*cluster.Cluster, error) {
-	return BuildElasticDisagg(kind, setup, make([]cluster.Role, n), routerName, eopts, opts)
-}
-
-// BuildElasticDisagg assembles an elastic role-split capacity fleet: each
-// replica's admission mode matches its role, and the autoscale controller
-// scales the prefill and decode pools independently under a shared budget.
-func BuildElasticDisagg(kind SystemKind, setup ModelSetup, roles []cluster.Role, routerName string,
-	eopts cluster.ElasticOptions, opts BuildOptions) (*cluster.Cluster, error) {
-	if len(roles) == 0 {
-		return nil, fmt.Errorf("experiments: no roles")
-	}
-	router, err := cluster.NewRouter(routerName)
-	if err != nil {
-		return nil, err
-	}
-	systems := make([]sched.System, len(roles))
-	for i, role := range roles {
-		o := opts
-		o.Seed = mathutil.Hash2(opts.Seed, 0xc1a0+uint64(i))
-		o.Mode = role.Mode()
-		sys, err := Build(kind, setup, o)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: replica %d: %w", i, err)
-		}
-		systems[i] = sys
-	}
-	return cluster.NewElastic(systems, roles, router, elasticTransfer(setup), eopts)
-}
 
 // AutoscalePoint is one (config, profile, router) cell of the autoscaling
 // experiment. Sum.Autoscale carries the cost-efficiency headline
@@ -149,57 +104,20 @@ func AutoscaleCell(setup ModelSetup, config, profile, routerName string, opts Ru
 	if err != nil {
 		return nil, err
 	}
-	rate, maxRate, err := workload.RateProfile(profile, mean, opts.Duration)
+	sc := Scenario{
+		System: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Replicas: AutoscaleFleet, Router: routerName,
+		OpenLoop: &OpenLoop{Profile: profile, MeanRPS: mean, GenSalt: 0x51e},
+	}
+	if config != "static" {
+		sc.Autoscale = config
+	}
+	res, err := sc.Run()
 	if err != nil {
 		return nil, err
 	}
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0x51e))
-	if err != nil {
-		return nil, err
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(opts.Seed, 0x7a)), rate, maxRate, opts.Duration)
-	if err != nil {
-		return nil, err
-	}
-
-	var cl *cluster.Cluster
-	srvOpts := serve.Options{}
-	if config == "static" {
-		cl, err = BuildCluster(SysAdaServe, setup, AutoscaleFleet, routerName, BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cl, err = BuildElasticCluster(SysAdaServe, setup, AutoscaleFleet, routerName,
-			cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: 1},
-			BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		policy, err := autoscale.NewPolicy(config)
-		if err != nil {
-			return nil, err
-		}
-		ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: AutoscaleInterval(opts.Duration),
-			Window:   AutoscaleWindow(opts.Duration),
-		})
-		if err != nil {
-			return nil, err
-		}
-		srvOpts.Autoscaler = ctrl
-	}
-	srv, err := serve.NewServer(cl, srvOpts)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	res := cl.Results(rr, nil)
-	res.Summary.Autoscale.Policy = config
-	return res.Summary, nil
+	res.Cluster.Summary.Autoscale.Policy = config
+	return res.Cluster.Summary, nil
 }
 
 // RenderAutoscale formats the autoscaling experiment as aligned tables per
@@ -207,26 +125,9 @@ func AutoscaleCell(setup ModelSetup, config, profile, routerName string, opts Ru
 // replica-seconds consumed, and scale events — one row per configuration
 // and one column per router.
 func RenderAutoscale(pts []AutoscalePoint) string {
-	profiles := make([]string, 0)
-	seenP := map[string]bool{}
-	routers := make([]string, 0)
-	seenR := map[string]bool{}
-	configs := make([]string, 0)
-	seenC := map[string]bool{}
-	for _, p := range pts {
-		if !seenP[p.Profile] {
-			seenP[p.Profile] = true
-			profiles = append(profiles, p.Profile)
-		}
-		if !seenR[p.Router] {
-			seenR[p.Router] = true
-			routers = append(routers, p.Router)
-		}
-		if !seenC[p.Config] {
-			seenC[p.Config] = true
-			configs = append(configs, p.Config)
-		}
-	}
+	profiles := distinct(pts, func(p AutoscalePoint) string { return p.Profile })
+	routers := distinct(pts, func(p AutoscalePoint) string { return p.Router })
+	configs := distinct(pts, func(p AutoscalePoint) string { return p.Config })
 	cell := func(profile, config, router string, f func(*metrics.ClusterSummary) float64) string {
 		for _, p := range pts {
 			if p.Profile == profile && p.Config == config && p.Router == router {

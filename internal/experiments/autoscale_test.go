@@ -114,11 +114,10 @@ func TestBuildElasticDisagg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := BuildElasticDisagg(SysAdaServe, setup, roles, "least-loaded",
-		cluster.ElasticOptions{ColdStart: 1.0, InitialActive: 1}, BuildOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := fleet(t, Scenario{
+		System: SysAdaServe, Setup: setup, Seed: 1, Roles: roles, Router: "least-loaded",
+		Elastic: &cluster.ElasticOptions{ColdStart: 1.0, InitialActive: 1},
+	})
 	if !cl.Elastic() {
 		t.Fatal("cluster not elastic")
 	}

@@ -6,38 +6,10 @@ import (
 	"strings"
 
 	"adaserve/internal/cluster"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/sched"
 	"adaserve/internal/workload"
 )
-
-// BuildCluster assembles an n-replica cluster of the given system kind
-// behind the named router policy. Each replica gets its own engine, KV
-// cache and pool, with per-replica engine randomness derived from the base
-// seed — so a replica's verification outcomes do not depend on which router
-// fronts the cluster.
-func BuildCluster(kind SystemKind, setup ModelSetup, n int, routerName string, opts BuildOptions) (*cluster.Cluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("experiments: cluster size %d <= 0", n)
-	}
-	router, err := cluster.NewRouter(routerName)
-	if err != nil {
-		return nil, err
-	}
-	systems := make([]sched.System, n)
-	for i := range systems {
-		o := opts
-		o.Seed = mathutil.Hash2(opts.Seed, 0xc1a0+uint64(i))
-		sys, err := Build(kind, setup, o)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: replica %d: %w", i, err)
-		}
-		systems[i] = sys
-	}
-	return cluster.New(systems, router)
-}
 
 // ClusterPoint is one (replica count, router) cell of the replica-scaling
 // experiment.
@@ -87,15 +59,15 @@ func ClusterScaling(setup ModelSetup, opts RunOptions) ([]ClusterPoint, error) {
 	}
 	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
 		c := cells[i]
-		cl, err := BuildCluster(SysAdaServe, setup, c.n, c.router, BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		res, err := cl.Run(request.CloneAll(c.reqs), cluster.Options{})
+		// All-mixed Roles keep the n = 1 anchor a one-replica cluster.
+		res, err := Scenario{
+			System: SysAdaServe, Setup: setup, Seed: opts.Seed,
+			Roles: make([]cluster.Role, c.n), Router: c.router, Trace: c.reqs,
+		}.Run()
 		if err != nil {
 			return nil, fmt.Errorf("cluster n=%d router=%s: %w", c.n, c.router, err)
 		}
-		return res.Summary, nil
+		return res.Cluster.Summary, nil
 	})
 	if err != nil {
 		return nil, err
@@ -111,20 +83,8 @@ func ClusterScaling(setup ModelSetup, opts RunOptions) ([]ClusterPoint, error) {
 // tables: attainment, goodput and request imbalance, one row per replica
 // count and one column per router.
 func RenderClusterScaling(pts []ClusterPoint) string {
-	routers := make([]string, 0)
-	seenR := map[string]bool{}
-	counts := make([]int, 0)
-	seenN := map[int]bool{}
-	for _, p := range pts {
-		if !seenR[p.Router] {
-			seenR[p.Router] = true
-			routers = append(routers, p.Router)
-		}
-		if !seenN[p.Replicas] {
-			seenN[p.Replicas] = true
-			counts = append(counts, p.Replicas)
-		}
-	}
+	routers := distinct(pts, func(p ClusterPoint) string { return p.Router })
+	counts := distinct(pts, func(p ClusterPoint) int { return p.Replicas })
 	sort.Ints(counts)
 	cell := func(n int, router string, f func(*metrics.ClusterSummary) float64) string {
 		for _, p := range pts {

@@ -8,18 +8,29 @@ import (
 	"adaserve/internal/workload"
 )
 
-func TestBuildClusterValidates(t *testing.T) {
-	setup := Llama70B()
-	if _, err := BuildCluster(SysAdaServe, setup, 0, "round-robin", BuildOptions{Seed: 1}); err == nil {
-		t.Fatal("zero-replica cluster accepted")
-	}
-	if _, err := BuildCluster(SysAdaServe, setup, 2, "random", BuildOptions{Seed: 1}); err == nil {
-		t.Fatal("unknown router accepted")
-	}
-	cl, err := BuildCluster(SysAdaServe, setup, 3, "slo-aware", BuildOptions{Seed: 1})
+// fleet builds a scenario's backend and returns it as a cluster.
+func fleet(t *testing.T, sc Scenario) *cluster.Cluster {
+	t.Helper()
+	b, err := sc.Backend()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl, ok := b.(*cluster.Cluster)
+	if !ok {
+		t.Fatalf("backend %T is not a cluster", b)
+	}
+	return cl
+}
+
+func TestBuildClusterValidates(t *testing.T) {
+	setup := Llama70B()
+	if _, err := (Scenario{System: SysAdaServe, Setup: setup, Seed: 1, Replicas: 2, Router: "random"}).Backend(); err == nil {
+		t.Fatal("unknown router accepted")
+	}
+	if b, err := (Scenario{System: SysAdaServe, Setup: setup, Seed: 1}).Backend(); err != nil || len(b.Instances()) != 1 {
+		t.Fatalf("one replica with no roles must build a single system: %v", err)
+	}
+	cl := fleet(t, Scenario{System: SysAdaServe, Setup: setup, Seed: 1, Replicas: 3, Router: "slo-aware"})
 	if cl.Size() != 3 {
 		t.Fatalf("cluster size %d", cl.Size())
 	}
@@ -33,14 +44,11 @@ func TestClusterRunEndToEnd(t *testing.T) {
 	}
 	ts := workload.PoissonTrace(mathutil.NewRNG(11), 6.0, 10)
 	reqs := gen.FromTimestamps(ts)
-	cl, err := BuildCluster(SysAdaServe, setup, 2, "slo-aware", BuildOptions{Seed: 1})
+	run, err := Scenario{System: SysAdaServe, Setup: setup, Seed: 1, Replicas: 2, Router: "slo-aware", Trace: reqs}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(reqs, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run.Cluster
 	if res.Summary.Aggregate.Finished != len(reqs) {
 		t.Fatalf("finished %d of %d", res.Summary.Aggregate.Finished, len(reqs))
 	}

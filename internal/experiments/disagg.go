@@ -6,10 +6,8 @@ import (
 
 	"adaserve/internal/cluster"
 	"adaserve/internal/gpu"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/sched"
 	"adaserve/internal/workload"
 )
 
@@ -37,34 +35,6 @@ func DisaggMixes() []DisaggMix {
 		{Name: "default", Mix: workload.DefaultMix},
 		{Name: "summ-heavy", Mix: workload.Mix{0.2, 0.2, 0.6}},
 	}
-}
-
-// BuildDisagg assembles a role-split cluster of the given system kind: one
-// replica per role, each with its own engine, KV cache and pool, admission
-// mode matching its role, and per-replica engine randomness derived from the
-// base seed exactly as BuildCluster derives it — so replica i's verification
-// outcomes do not depend on the fleet layout around it.
-func BuildDisagg(kind SystemKind, setup ModelSetup, roles []cluster.Role, routerName string, opts BuildOptions) (*cluster.Cluster, error) {
-	if len(roles) == 0 {
-		return nil, fmt.Errorf("experiments: no roles")
-	}
-	router, err := cluster.NewRouter(routerName)
-	if err != nil {
-		return nil, err
-	}
-	systems := make([]sched.System, len(roles))
-	for i, role := range roles {
-		o := opts
-		o.Seed = mathutil.Hash2(opts.Seed, 0xc1a0+uint64(i))
-		o.Mode = role.Mode()
-		sys, err := Build(kind, setup, o)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: replica %d: %w", i, err)
-		}
-		systems[i] = sys
-	}
-	transfer := gpu.KVTransfer{Model: setup.Target, Link: DisaggLink}
-	return cluster.NewWithRoles(systems, roles, router, transfer)
 }
 
 // DisaggPoint is one (split, router, mix) cell of the disaggregation
@@ -111,25 +81,21 @@ func Disaggregation(setup ModelSetup, opts RunOptions) ([]DisaggPoint, error) {
 	}
 	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
 		c := cells[i]
-		var cl *cluster.Cluster
-		var err error
+		sc := Scenario{System: SysAdaServe, Setup: setup, Seed: opts.Seed, Router: c.router, Trace: c.reqs}
 		if c.split == "colocated" {
-			cl, err = BuildCluster(SysAdaServe, setup, 4, c.router, BuildOptions{Seed: opts.Seed})
+			sc.Replicas = 4
 		} else {
-			var roles []cluster.Role
-			roles, err = cluster.ParseSplit(c.split)
-			if err == nil {
-				cl, err = BuildDisagg(SysAdaServe, setup, roles, c.router, BuildOptions{Seed: opts.Seed})
+			roles, err := cluster.ParseSplit(c.split)
+			if err != nil {
+				return nil, err
 			}
+			sc.Roles = roles
 		}
-		if err != nil {
-			return nil, err
-		}
-		res, err := cl.Run(request.CloneAll(c.reqs), cluster.Options{})
+		res, err := sc.Run()
 		if err != nil {
 			return nil, fmt.Errorf("disagg %s router=%s mix=%s: %w", c.split, c.router, c.mix, err)
 		}
-		return res.Summary, nil
+		return res.Cluster.Summary, nil
 	})
 	if err != nil {
 		return nil, err
@@ -145,26 +111,9 @@ func Disaggregation(setup ModelSetup, opts RunOptions) ([]DisaggPoint, error) {
 // mix: TTFT attainment, TPOT attainment, goodput and mean KV-transfer
 // latency, one row per fleet split and one column per router.
 func RenderDisagg(pts []DisaggPoint) string {
-	mixes := make([]string, 0)
-	seenM := map[string]bool{}
-	routers := make([]string, 0)
-	seenR := map[string]bool{}
-	splits := make([]string, 0)
-	seenS := map[string]bool{}
-	for _, p := range pts {
-		if !seenM[p.Mix] {
-			seenM[p.Mix] = true
-			mixes = append(mixes, p.Mix)
-		}
-		if !seenR[p.Router] {
-			seenR[p.Router] = true
-			routers = append(routers, p.Router)
-		}
-		if !seenS[p.Split] {
-			seenS[p.Split] = true
-			splits = append(splits, p.Split)
-		}
-	}
+	mixes := distinct(pts, func(p DisaggPoint) string { return p.Mix })
+	routers := distinct(pts, func(p DisaggPoint) string { return p.Router })
+	splits := distinct(pts, func(p DisaggPoint) string { return p.Split })
 	cell := func(mix, split, router string, f func(*metrics.ClusterSummary) float64) string {
 		for _, p := range pts {
 			if p.Mix == mix && p.Split == split && p.Router == router {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"adaserve/internal/cluster"
-	"adaserve/internal/request"
 	"adaserve/internal/workload"
 )
 
@@ -23,15 +22,12 @@ func TestDisaggEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := BuildDisagg(SysAdaServe, setup, roles, "least-loaded", BuildOptions{Seed: 1})
+	out, err := Scenario{System: SysAdaServe, Setup: setup, Seed: 1, Roles: roles, Router: "least-loaded", Trace: reqs}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := request.CloneAll(reqs)
-	res, err := cl.Run(run, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, run := out.Cluster, reqs
+	cl := out.Backend.(*cluster.Cluster)
 	if res.Summary.Aggregate.Finished != len(run) {
 		t.Fatalf("finished %d of %d", res.Summary.Aggregate.Finished, len(run))
 	}

@@ -8,7 +8,6 @@ import (
 
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -185,22 +184,18 @@ func TestRPSSweeps(t *testing.T) {
 	}
 }
 
-// smoke-check one tiny Figure 8 cell end to end through the sim package.
+// smoke-check one tiny Figure 8 cell end to end through runOne.
 func TestFigure8SingleCell(t *testing.T) {
 	setup := Llama70B()
 	reqs, err := mixedTrace(setup, workload.DefaultMix, 1.0, 3.0, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(SysAdaServe, setup, BuildOptions{Seed: 1})
+	sum, err := runOne(SysAdaServe, setup, reqs, 1, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sys, request.CloneAll(reqs), sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Attainment() < 0.5 {
-		t.Fatalf("attainment %.2f at light load", res.Summary.Attainment())
+	if sum.Attainment() < 0.5 {
+		t.Fatalf("attainment %.2f at light load", sum.Attainment())
 	}
 }

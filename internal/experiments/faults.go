@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
 	"adaserve/internal/faults"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
-	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 // FaultFleet is the chaos experiment's capacity fleet for the crash and
@@ -164,82 +160,34 @@ func FaultCell(setup ModelSetup, scenario, recovery string, opts RunOptions) (*m
 	return faultRun(setup, spec, scenario, recovery, opts)
 }
 
-// faultRun is the shared cell body: build the fleet (elastic colocated, or
-// static 2P2D disagg for the link scenario), arm the injector, replay the
-// scenario-independent arrival stream at the scenario's operating point.
+// faultRun is the shared cell body: the elastic colocated fleet under
+// rate-prop autoscaling (or the static 2P2D disagg fleet for the link
+// scenario), armed with the schedule, replaying the scenario-independent
+// arrival stream at the scenario's operating point.
 func faultRun(setup ModelSetup, spec faults.Spec, scenario, recovery string, opts RunOptions) (*metrics.ClusterSummary, error) {
 	rec, err := faults.ParseRecovery(recovery)
 	if err != nil {
 		return nil, err
 	}
-
-	var cl *cluster.Cluster
-	srvOpts := serve.Options{}
+	sc := Scenario{
+		System: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Router: FaultRouter, Faults: spec, Recovery: rec,
+		OpenLoop: &OpenLoop{Profile: "constant", MeanRPS: FaultMeanRPS(setup, scenario), GenSalt: 0xfa},
+	}
 	if scenario == "link" {
-		roles, err := cluster.ParseSplit("2P2D")
-		if err != nil {
-			return nil, err
-		}
-		cl, err = BuildDisagg(SysAdaServe, setup, roles, FaultRouter, BuildOptions{Seed: opts.Seed})
-		if err != nil {
+		if sc.Roles, err = cluster.ParseSplit("2P2D"); err != nil {
 			return nil, err
 		}
 	} else {
-		cl, err = BuildElasticCluster(SysAdaServe, setup, FaultFleet, FaultRouter,
-			cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: FaultInitialActive},
-			BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		policy, err := autoscale.NewPolicy("rate-prop")
-		if err != nil {
-			return nil, err
-		}
-		ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: AutoscaleInterval(opts.Duration),
-			Window:   AutoscaleWindow(opts.Duration),
-		})
-		if err != nil {
-			return nil, err
-		}
-		srvOpts.Autoscaler = ctrl
+		sc.Replicas = FaultFleet
+		sc.Elastic = &cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: FaultInitialActive}
+		sc.Autoscale = "rate-prop"
 	}
-
-	inj, err := faults.New(cl, spec, faults.Options{
-		Seed:     opts.Seed,
-		Horizon:  opts.Duration,
-		Recovery: rec,
-	})
+	res, err := sc.Run()
 	if err != nil {
 		return nil, err
 	}
-	srvOpts.Faults = inj
-
-	rate, maxRate, err := workload.RateProfile("constant", FaultMeanRPS(setup, scenario), opts.Duration)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0xfa))
-	if err != nil {
-		return nil, err
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(opts.Seed, 0x7a)), rate, maxRate, opts.Duration)
-	if err != nil {
-		return nil, err
-	}
-
-	srv, err := serve.NewServer(cl, srvOpts)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	res := cl.Results(rr, nil)
-	sum := inj.Summary(rr.EndTime)
-	res.Summary.Faults = &sum
-	return res.Summary, nil
+	return res.Cluster.Summary, nil
 }
 
 // RenderFaults formats the chaos sweep as one aligned table per scenario: a
@@ -248,20 +196,8 @@ func faultRun(setup ModelSetup, spec faults.Spec, scenario, recovery string, opt
 // show directly what re-dispatch buys back; maxTTFT is the tail hedging
 // exists to bound.
 func RenderFaults(pts []FaultPoint) string {
-	scenarios := make([]string, 0)
-	seenS := map[string]bool{}
-	recoveries := make([]string, 0)
-	seenR := map[string]bool{}
-	for _, p := range pts {
-		if !seenS[p.Scenario] {
-			seenS[p.Scenario] = true
-			scenarios = append(scenarios, p.Scenario)
-		}
-		if !seenR[p.Recovery] {
-			seenR[p.Recovery] = true
-			recoveries = append(recoveries, p.Recovery)
-		}
-	}
+	scenarios := distinct(pts, func(p FaultPoint) string { return p.Scenario })
+	recoveries := distinct(pts, func(p FaultPoint) string { return p.Recovery })
 	cols := []struct {
 		name string
 		f    func(*metrics.ClusterSummary) float64

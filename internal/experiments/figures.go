@@ -8,7 +8,6 @@ import (
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -52,13 +51,7 @@ type Point struct {
 
 // runOne builds the system, replays the trace, and returns its summary.
 func runOne(kind SystemKind, setup ModelSetup, reqs []*request.Request, seed uint64, build BuildOptions) (*metrics.Summary, error) {
-	build.Seed = seed
-	sys, err := Build(kind, setup, build)
-	if err != nil {
-		return nil, err
-	}
-	// Each system gets private request copies: runs must not share state.
-	res, err := sim.Run(sys, request.CloneAll(reqs), sim.Options{})
+	res, err := Scenario{System: kind, Setup: setup, Seed: seed, Build: build, Trace: reqs}.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -222,20 +215,8 @@ func Figure15(setup ModelSetup, opts RunOptions) (*metrics.Summary, error) {
 // RenderSeries formats sweep points as an aligned text table with one row
 // per x value and one column per system, using the given metric extractor.
 func RenderSeries(pts []Point, xName, metric string, f func(*metrics.Summary) float64) string {
-	systems := make([]SystemKind, 0)
-	seen := map[SystemKind]bool{}
-	xs := make([]float64, 0)
-	seenX := map[float64]bool{}
-	for _, p := range pts {
-		if !seen[p.System] {
-			seen[p.System] = true
-			systems = append(systems, p.System)
-		}
-		if !seenX[p.X] {
-			seenX[p.X] = true
-			xs = append(xs, p.X)
-		}
-	}
+	systems := distinct(pts, func(p Point) SystemKind { return p.System })
+	xs := distinct(pts, func(p Point) float64 { return p.X })
 	sort.Float64s(xs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s", xName)

@@ -6,13 +6,10 @@ import (
 	"path/filepath"
 	"testing"
 
-	"adaserve/internal/adaptive"
 	"adaserve/internal/cluster"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/obs"
 	"adaserve/internal/serve"
 	"adaserve/internal/trace"
-	"adaserve/internal/workload"
 )
 
 // spanCell runs the fixed span-golden cell — a 1P1D disaggregated AdaServe
@@ -27,37 +24,17 @@ func spanCell(setup ModelSetup) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := BuildDisagg(SysAdaServe, setup, roles, "slo-aware", BuildOptions{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
 	cfg, err := AdaptiveConfig("adaptive+admission", duration)
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := adaptive.New(cl, *cfg)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := serve.NewServer(cl, serve.Options{Adaptive: ctrl})
-	if err != nil {
-		return nil, err
-	}
 	sr := obs.NewSpanRecorder()
-	srv.Subscribe(sr)
-	rate, maxRate, err := workload.RateProfile("spike", AdaptiveMeanRPS(setup), duration)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
-	if err != nil {
-		return nil, err
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := srv.Run(src); err != nil {
+	if _, err := (Scenario{
+		System: SysAdaServe, Setup: setup, Seed: 1, Duration: duration,
+		Roles: roles, Router: "slo-aware", Adaptive: cfg,
+		OpenLoop:  &OpenLoop{Profile: "spike", MeanRPS: AdaptiveMeanRPS(setup), GenSalt: 0xada},
+		Observers: []serve.Observer{sr},
+	}).Run(); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
@@ -158,21 +135,14 @@ func TestSpanTimelineParallelDeterminism(t *testing.T) {
 func TestSpanReplayIdentity(t *testing.T) {
 	setup := Llama70B()
 	const duration = 8
-	runOnce := func(src serve.Source) (*trace.Trace, []byte) {
+	runOnce := func(sc Scenario) (*trace.Trace, []byte) {
 		t.Helper()
-		cl, err := BuildCluster(SysAdaServe, setup, 2, "slo-aware", BuildOptions{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := serve.NewServer(cl, serve.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		exp := trace.NewExporter(trace.ExportOptions{Seed: 1, Source: "export:spans"})
 		sr := obs.NewSpanRecorder()
-		srv.Subscribe(exp)
-		srv.Subscribe(sr)
-		if _, err := srv.Run(src); err != nil {
+		sc.System, sc.Setup, sc.Seed, sc.Duration = SysAdaServe, setup, 1, duration
+		sc.Replicas, sc.Router = 2, "slo-aware"
+		sc.Observers = []serve.Observer{exp, sr}
+		if _, err := sc.Run(); err != nil {
 			t.Fatal(err)
 		}
 		tr, err := exp.Trace()
@@ -186,31 +156,12 @@ func TestSpanReplayIdentity(t *testing.T) {
 		return tr, buf.Bytes()
 	}
 
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate, maxRate, err := workload.RateProfile("spike", AdaptiveMeanRPS(setup), duration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exported, origSpans := runOnce(open)
+	exported, origSpans := runOnce(Scenario{OpenLoop: &OpenLoop{Profile: "spike", MeanRPS: AdaptiveMeanRPS(setup), GenSalt: 0xada}})
 	if len(origSpans) == 0 {
 		t.Fatal("open-loop run recorded no spans")
 	}
 
-	replayFrom := func(tr *trace.Trace) (*trace.Trace, []byte) {
-		t.Helper()
-		src, err := trace.NewSource(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return runOnce(src)
-	}
+	replayFrom := func(tr *trace.Trace) (*trace.Trace, []byte) { return runOnce(Scenario{Replay: tr}) }
 	replayTrace, firstSpans := replayFrom(exported)
 
 	// Round-trip the export through its file form, as a CLI user would.

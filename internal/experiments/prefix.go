@@ -7,7 +7,6 @@ import (
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/serve"
 	"adaserve/internal/workload"
 )
 
@@ -74,45 +73,18 @@ func PrefixCell(setup ModelSetup, routerName string, cached bool, opts RunOption
 	if err != nil {
 		return nil, err
 	}
-	bopts := BuildOptions{Seed: opts.Seed}
+	sc := Scenario{
+		System: SysAdaServe, Setup: setup, Seed: opts.Seed,
+		Replicas: PrefixFleet, Router: routerName, Sessions: sessions,
+	}
 	if cached {
-		bopts.Prefix = true
-		bopts.PrefixHostBlocks = PrefixHostTier
+		sc.Build = BuildOptions{Prefix: true, PrefixHostBlocks: PrefixHostTier}
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, PrefixFleet, routerName, bopts)
+	res, err := sc.Run()
 	if err != nil {
 		return nil, err
 	}
-	srv, err := serve.NewServer(cl, serve.Options{})
-	if err != nil {
-		return nil, err
-	}
-	src := serve.NewSubmitSource()
-	for _, r := range sessions.InitialRequests() {
-		if err := src.Submit(r); err != nil {
-			return nil, err
-		}
-	}
-	var submitErr error
-	srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
-		e, ok := ev.(serve.RequestFinished)
-		if !ok {
-			return
-		}
-		if next := sessions.FollowUp(e.Req, e.Time); next != nil {
-			if err := src.Submit(next); err != nil && submitErr == nil {
-				submitErr = err
-			}
-		}
-	}))
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	return cl.Results(rr, nil).Summary, nil
+	return res.Cluster.Summary, nil
 }
 
 // PrefixCaching runs the prefix experiment: the session workload over every

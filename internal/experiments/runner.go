@@ -104,3 +104,17 @@ func runCells(setup ModelSetup, opts RunOptions, cells []cell) ([]Point, error) 
 	}
 	return pts, nil
 }
+
+// distinct returns key(p) for every point, deduplicated in first-seen order:
+// the row and column order of every Render* table.
+func distinct[P any, K comparable](pts []P, key func(P) K) []K {
+	var out []K
+	seen := map[K]bool{}
+	for _, p := range pts {
+		if k := key(p); !seen[k] {
+			seen[k] = true
+			out = append(out, k)
+		}
+	}
+	return out
+}

@@ -6,11 +6,9 @@ import (
 	"strings"
 
 	"adaserve/internal/adaptive"
-	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
-	"adaserve/internal/serve"
 	"adaserve/internal/trace"
 )
 
@@ -136,88 +134,38 @@ func TraceCell(setup ModelSetup, scenario, config string, opts RunOptions) (*met
 	if err != nil {
 		return nil, err
 	}
-	src, err := trace.NewSource(tr)
-	if err != nil {
-		return nil, err
+	sc := Scenario{
+		System: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Replicas: TraceFleet, Router: TraceRouter, Replay: tr,
 	}
-
-	var cl *cluster.Cluster
-	srvOpts := serve.Options{}
-	var ctrl *adaptive.Controller
 	switch config {
-	case "static", "admission":
-		cl, err = BuildCluster(SysAdaServe, setup, TraceFleet, TraceRouter, BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		if config == "admission" {
-			ctrl, err = adaptive.New(cl, adaptive.Config{
-				Interval:      AdaptiveInterval(opts.Duration),
-				Window:        AutoscaleWindow(opts.Duration),
-				DisableTuning: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			srvOpts.Adaptive = ctrl
+	case "static":
+	case "admission":
+		sc.Adaptive = &adaptive.Config{
+			Interval:      AdaptiveInterval(opts.Duration),
+			Window:        AutoscaleWindow(opts.Duration),
+			DisableTuning: true,
 		}
 	case "autoscale":
-		cl, err = BuildElasticCluster(SysAdaServe, setup, TraceCapacity, TraceRouter,
-			cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: TraceFleet},
-			BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		policy, err := autoscale.NewPolicy(TracePolicy)
-		if err != nil {
-			return nil, err
-		}
-		scaler, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: AutoscaleInterval(opts.Duration),
-			Window:   AutoscaleWindow(opts.Duration),
-		})
-		if err != nil {
-			return nil, err
-		}
-		srvOpts.Autoscaler = scaler
+		sc.Replicas = TraceCapacity
+		sc.Elastic = &cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: TraceFleet}
+		sc.Autoscale = TracePolicy
 	default:
 		return nil, fmt.Errorf("experiments: unknown trace config %q (want one of %s)",
 			config, strings.Join(TraceConfigs(), ", "))
 	}
-
-	srv, err := serve.NewServer(cl, srvOpts)
+	res, err := sc.Run()
 	if err != nil {
 		return nil, err
 	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	res := cl.Results(rr, nil)
-	if ctrl != nil {
-		sum := ctrl.Summary()
-		res.Summary.Admission = &sum
-	}
-	return res.Summary, nil
+	return res.Cluster.Summary, nil
 }
 
 // RenderTrace formats the trace-replay sweep as one aligned table per
 // scenario: a row per control configuration, a column per headline metric.
 func RenderTrace(pts []TracePoint) string {
-	scenarios := make([]string, 0)
-	seenS := map[string]bool{}
-	configs := make([]string, 0)
-	seenC := map[string]bool{}
-	for _, p := range pts {
-		if !seenS[p.Scenario] {
-			seenS[p.Scenario] = true
-			scenarios = append(scenarios, p.Scenario)
-		}
-		if !seenC[p.Config] {
-			seenC[p.Config] = true
-			configs = append(configs, p.Config)
-		}
-	}
+	scenarios := distinct(pts, func(p TracePoint) string { return p.Scenario })
+	configs := distinct(pts, func(p TracePoint) string { return p.Config })
 	metricsCols := []struct {
 		name string
 		f    func(*metrics.ClusterSummary) float64

@@ -6,10 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"adaserve/internal/mathutil"
 	"adaserve/internal/serve"
 	"adaserve/internal/trace"
-	"adaserve/internal/workload"
 )
 
 // TestTraceSpecsCanonical validates every committed scenario spec: each
@@ -146,19 +144,13 @@ func TestTraceReplayParallelDeterminism(t *testing.T) {
 func TestExportReplayLoop(t *testing.T) {
 	setup := Llama70B()
 	const duration = 8
-	runOnce := func(src serve.Source) *trace.Trace {
+	runOnce := func(sc Scenario) *trace.Trace {
 		t.Helper()
-		cl, err := BuildCluster(SysAdaServe, setup, 2, "slo-aware", BuildOptions{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := serve.NewServer(cl, serve.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		exp := trace.NewExporter(trace.ExportOptions{Seed: 1, Source: "export:test"})
-		srv.Subscribe(exp)
-		if _, err := srv.Run(src); err != nil {
+		sc.System, sc.Setup, sc.Seed, sc.Duration = SysAdaServe, setup, 1, duration
+		sc.Replicas, sc.Router = 2, "slo-aware"
+		sc.Observers = []serve.Observer{exp}
+		if _, err := sc.Run(); err != nil {
 			t.Fatal(err)
 		}
 		tr, err := exp.Trace()
@@ -168,19 +160,7 @@ func TestExportReplayLoop(t *testing.T) {
 		return tr
 	}
 
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate, maxRate, err := workload.RateProfile("spike", AdaptiveMeanRPS(setup), duration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exported := runOnce(open)
+	exported := runOnce(Scenario{OpenLoop: &OpenLoop{Profile: "spike", MeanRPS: AdaptiveMeanRPS(setup), GenSalt: 0xada}})
 	if len(exported.Arrivals) == 0 {
 		t.Fatal("open-loop run exported no arrivals")
 	}
@@ -190,11 +170,7 @@ func TestExportReplayLoop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exported trace does not parse: %v", err)
 	}
-	replaySrc, err := trace.NewSource(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := runOnce(replaySrc)
+	replayed := runOnce(Scenario{Replay: parsed})
 	if replayed.Format() != exported.Format() {
 		t.Fatal("replayed admission stream differs from the original export")
 	}

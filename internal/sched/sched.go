@@ -8,7 +8,7 @@
 // performs one scheduling-plus-execution iteration starting at a given
 // simulated time and reports how long it took. The unified event-driven
 // driver in internal/serve advances the clock and delivers arrivals
-// (internal/sim and internal/cluster replay closed traces through it).
+// (experiments.Scenario runs every simulation through it).
 package sched
 
 import (

@@ -19,9 +19,8 @@ func mustGen(t *testing.T) *workload.Generator {
 
 func mustRNG() *mathutil.RNG { return mathutil.NewRNG(1) }
 
-// The abort paths — deadlock detection and the shared run bounds — now live
-// in the unified driver, so they are tested here once for every entry point
-// (sim.Run and cluster.Run forward to these code paths).
+// The abort paths — deadlock detection and the shared run bounds — live in
+// the unified driver, so they are tested here once for every backend.
 
 func TestRunDetectsDeadlock(t *testing.T) {
 	// KV too small for the request: admission can never succeed.

@@ -2,10 +2,9 @@ package serve
 
 import "testing"
 
-// TestSharedRunBoundDefaults is the single home of the run-bound defaults
-// shared by every driver entry point: serve.Options resolves zero values
-// here, and sim.Options / cluster.Options forward their zero values to this
-// fill — so the 24h / 50M numbers live in exactly one place.
+// TestSharedRunBoundDefaults is the single home of the run-bound defaults:
+// serve.Options resolves zero values here — so the 24h / 50M numbers live
+// in exactly one place.
 func TestSharedRunBoundDefaults(t *testing.T) {
 	var o Options
 	o.fill()

@@ -26,8 +26,8 @@ type Source interface {
 }
 
 // TraceSource replays a fixed request trace in the canonical replay order
-// (request.OrderForReplay: FIFO by arrival time, then ID) — the closed-loop
-// Source behind sim.Run and cluster.Run.
+// (request.OrderForReplay: FIFO by arrival time, then ID) — the Source behind
+// every closed trace replay.
 type TraceSource struct {
 	ordered []*request.Request
 	next    int
