@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"strings"
 	"testing"
 
 	"adaserve/internal/metrics"
@@ -13,22 +14,32 @@ import (
 // TraceSource, run until every request is done, so SLO attainment covers the
 // whole trace with no truncation bias.
 
-// replay runs reqs to completion on sys and summarizes them in trace order.
-func replay(t *testing.T, sys sched.System, reqs []*request.Request) (*serve.Result, *metrics.Summary) {
-	t.Helper()
-	srv, err := serve.NewServer(serve.SingleSystem(sys), serve.Options{})
+// replayWith runs reqs to completion on sys under opts and summarizes them in
+// trace order. An invalid trace or an aborted run is an error.
+func replayWith(sys sched.System, reqs []*request.Request, opts serve.Options) (*serve.Result, *metrics.Summary, error) {
+	srv, err := serve.NewServer(serve.SingleSystem(sys), opts)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	src, err := serve.NewTraceSource(reqs)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	rr, err := srv.Run(src)
 	if err != nil {
+		return nil, nil, err
+	}
+	return rr, metrics.Summarize(sys.Name(), reqs, rr.Breakdown), nil
+}
+
+// replay is replayWith under the default bounds; any error fails the test.
+func replay(t *testing.T, sys sched.System, reqs []*request.Request) (*serve.Result, *metrics.Summary) {
+	t.Helper()
+	rr, sum, err := replayWith(sys, reqs, serve.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return rr, metrics.Summarize(sys.Name(), reqs, rr.Breakdown)
+	return rr, sum
 }
 
 func TestRunCompletesAllRequests(t *testing.T) {
@@ -103,5 +114,36 @@ func TestRunArrivalsVisibleAtBoundaries(t *testing.T) {
 			t.Fatalf("request %d admitted at %.3f before arrival %.3f",
 				r.ID, r.AdmitTime, r.ArrivalTime)
 		}
+	}
+}
+
+func TestReplayValidatesRequests(t *testing.T) {
+	bad := request.New(1, request.Chat, 0, 0, 64, 8, 1)
+	if _, _, err := replayWith(testSystem(t, 3), []*request.Request{bad}, serve.Options{}); err == nil {
+		t.Fatal("invalid request accepted")
+	}
+}
+
+func TestReplayDetectsDeadlock(t *testing.T) {
+	// KV too small for the request: admission can never succeed.
+	reqs := []*request.Request{request.New(1, request.Chat, 0.05, 0, 64, 8, 1)}
+	_, _, err := replayWith(testSystemKV(t, 3, 32), reqs, serve.Options{})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("want deadlock error, got %v", err)
+	}
+}
+
+func TestReplayRespectsMaxSimTime(t *testing.T) {
+	// Arrivals span 5000s against a 10s budget.
+	_, _, err := replayWith(testSystem(t, 3), mkReqs(5, 1000.0), serve.Options{MaxSimTime: 10})
+	if err == nil || !strings.Contains(err.Error(), "max simulated time") {
+		t.Fatalf("want max-sim-time error, got %v", err)
+	}
+}
+
+func TestReplayRespectsMaxIterations(t *testing.T) {
+	_, _, err := replayWith(testSystem(t, 3), mkReqs(5, 0.05), serve.Options{MaxIterations: 2})
+	if err == nil || !strings.Contains(err.Error(), "max iterations") {
+		t.Fatalf("want max-iterations error, got %v", err)
 	}
 }
