@@ -46,19 +46,26 @@ func ConfigForTokens(capacityTokens, blockSize int) Config {
 // runs parallel to blocks over the prompt's full blocks: a non-zero entry is
 // the fingerprint of a registry-backed (shared or shareable) block, 0 marks a
 // private block. hashes is always at most as long as blocks and empty when
-// prefix caching is off.
+// prefix caching is off. marked is MarkComputed's watermark: hashes[:marked]
+// are known computed (or private), so each block is marked once.
 type seq struct {
 	blocks []int
 	tokens int
 	hashes []uint64
+	marked int
 }
 
 // Allocator manages the block pool. It is not safe for concurrent use; the
 // simulator is single-threaded per serving instance.
 type Allocator struct {
-	cfg  Config
-	free []int
-	seqs map[int]*seq
+	cfg Config
+	// free is the stack of recycled block IDs, popped LIFO. Block IDs in
+	// [fresh, NumBlocks) have never been handed out; they pop in ascending
+	// order once free is empty. Together they behave as one descending free
+	// list without touching capacity-sized memory at construction.
+	free  []int
+	fresh int
+	seqs  map[int]*seq
 
 	// prefix is nil unless EnablePrefix was called; every shared-prefix path
 	// gates on it so the disabled allocator behaves exactly as before.
@@ -75,12 +82,7 @@ func New(cfg Config) (*Allocator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Allocator{cfg: cfg, seqs: make(map[int]*seq)}
-	a.free = make([]int, cfg.NumBlocks)
-	for i := range a.free {
-		a.free[i] = cfg.NumBlocks - 1 - i // pop from the end → ascending IDs
-	}
-	return a, nil
+	return &Allocator{cfg: cfg, seqs: make(map[int]*seq)}, nil
 }
 
 // MustNew panics on config error.
@@ -125,10 +127,9 @@ func (a *Allocator) Allocate(seqID, tokens int) error {
 		a.Failures++
 		return fmt.Errorf("kvcache: need %d blocks, %d free", need, avail)
 	}
-	s := &seq{tokens: tokens}
-	for i := 0; i < need; i++ {
-		id, _ := a.popAvailable()
-		s.blocks = append(s.blocks, id)
+	s := &seq{tokens: tokens, blocks: make([]int, need)}
+	for i := range s.blocks {
+		s.blocks[i], _ = a.popAvailable()
 	}
 	a.seqs[seqID] = s
 	a.updatePeak()
@@ -204,6 +205,9 @@ func (a *Allocator) Shrink(seqID, n int) error {
 			a.free = append(a.free, last)
 		}
 	}
+	// Blocks below the watermark that survive keep their entries (a held
+	// entry is never deleted or un-computed), so only the length can shrink.
+	s.marked = min(s.marked, len(s.hashes))
 	return nil
 }
 
@@ -243,13 +247,13 @@ func (a *Allocator) SeqTokens(seqID int) int {
 }
 
 // UsedBlocks returns the number of allocated blocks.
-func (a *Allocator) UsedBlocks() int { return a.cfg.NumBlocks - len(a.free) }
+func (a *Allocator) UsedBlocks() int { return a.cfg.NumBlocks - a.FreeBlocks() }
 
 // FreeBlocks returns the number of free blocks.
-func (a *Allocator) FreeBlocks() int { return len(a.free) }
+func (a *Allocator) FreeBlocks() int { return len(a.free) + a.cfg.NumBlocks - a.fresh }
 
 // FreeTokens returns how many more tokens could be stored in free blocks.
-func (a *Allocator) FreeTokens() int { return len(a.free) * a.cfg.BlockSize }
+func (a *Allocator) FreeTokens() int { return a.FreeBlocks() * a.cfg.BlockSize }
 
 // NumSeqs returns the number of registered sequences.
 func (a *Allocator) NumSeqs() int { return len(a.seqs) }
@@ -294,10 +298,16 @@ func (a *Allocator) SeqIDs() []int {
 	return ids
 }
 
+// pop takes a free block: the most recently recycled one, else the lowest
+// never-used one. The caller checks FreeBlocks() > 0.
 func (a *Allocator) pop() int {
-	b := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
-	return b
+	if n := len(a.free); n > 0 {
+		b := a.free[n-1]
+		a.free = a.free[:n-1]
+		return b
+	}
+	a.fresh++
+	return a.fresh - 1
 }
 
 func (a *Allocator) updatePeak() {

@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -263,5 +264,71 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFreeListMatchesReversedSlice checks the recycled stack plus fresh
+// counter against the free list it replaced — all IDs in one slice, highest
+// first, popped from the end and pushed back on top — over random pop/push
+// interleavings: both must hand out the same block-ID sequence.
+func TestFreeListMatchesReversedSlice(t *testing.T) {
+	err := quick.Check(func(seed uint64) bool {
+		rng := mathutil.NewRNG(seed)
+		const n = 24
+		a := MustNew(Config{BlockSize: 4, NumBlocks: n})
+		ref := make([]int, n)
+		for i := range ref {
+			ref[i] = n - 1 - i
+		}
+		var held []int
+		for op := 0; op < 400; op++ {
+			if len(ref) != a.FreeBlocks() {
+				return false
+			}
+			if len(ref) > 0 && (len(held) == 0 || rng.Intn(2) == 0) {
+				want := ref[len(ref)-1]
+				ref = ref[:len(ref)-1]
+				if got := a.pop(); got != want {
+					t.Logf("op %d: pop %d, reversed slice pops %d", op, got, want)
+					return false
+				}
+				held = append(held, want)
+				continue
+			}
+			i := rng.Intn(len(held))
+			id := held[i]
+			held = append(held[:i], held[i+1:]...)
+			ref = append(ref, id)
+			a.free = append(a.free, id)
+		}
+		return true
+	}, &quick.Config{MaxCount: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewAllocatesConstantBytes gates construction cost: a fresh allocator
+// touches no capacity-sized memory, so building one over 1k or 1M blocks
+// allocates the same few bytes.
+func TestNewAllocatesConstantBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	bytesPerNew := func(blocks int) uint64 {
+		const runs = 100
+		cfg := Config{BlockSize: 16, NumBlocks: blocks}
+		MustNew(cfg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			MustNew(cfg)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := bytesPerNew(1<<10), bytesPerNew(1<<20)
+	if small != large || large >= 4<<10 {
+		t.Fatalf("New allocates %d B for 1k blocks and %d B for 1M, want equal and under 4 KiB", small, large)
 	}
 }

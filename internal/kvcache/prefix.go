@@ -131,24 +131,60 @@ type prefixState struct {
 	cold  lruList // refs == 0, GPU-resident, LRU reclaim order
 	host  lruList // offloaded entries, LRU drop order
 	stats PrefixStats
+	// matched is AllocateWithPrefix's scratch list of matched entries,
+	// reused across calls so failed admission retries allocate nothing.
+	matched []*shared
 }
 
 // prefixChainSeed anchors the block fingerprint chain.
 const prefixChainSeed uint64 = 0x70726566697843 // "prefixC"
 
-// blockChainHash extends the fingerprint chain over one full block of token
-// seeds. It never returns 0: seq.hashes uses 0 as the "private block"
-// sentinel.
-func blockChainHash(prev uint64, tokens []uint64) uint64 {
-	h := mathutil.Hash2(prev, uint64(len(tokens)))
-	for _, t := range tokens {
-		h = mathutil.Hash2(h, t)
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
+// ChainHasher streams a prompt's token seeds, in prompt order, into its
+// block fingerprint chain: one fingerprint per full block, each the hash of
+// the block length and the block's seeds mixed into the previous block's
+// fingerprint. No per-token slice is ever built. Seeds of a trailing partial
+// block are absorbed but never fingerprinted: only full blocks are
+// shareable. A fingerprint is never 0, which seq.hashes reserves as the
+// "private block" sentinel.
+//
+// The chain is a pure function of the seeds and the block size, so callers
+// compute it once per prompt and pass it (or a prefix of it) to MatchPrefix,
+// MatchPrefixTokens and AllocateWithPrefix of allocators with that block
+// size.
+type ChainHasher struct {
+	bs    int
+	n     int    // seeds absorbed into the current block
+	h     uint64 // running hash of the current block
+	chain []uint64
 }
+
+// NewChainHasher starts a chain over blocks of blockSize tokens, with room
+// for the full blocks of a tokens-token prompt.
+func NewChainHasher(blockSize, tokens int) ChainHasher {
+	return ChainHasher{
+		bs:    blockSize,
+		h:     mathutil.Hash2(prefixChainSeed, uint64(blockSize)),
+		chain: make([]uint64, 0, tokens/blockSize),
+	}
+}
+
+// Add absorbs the next token seed, closing the current block when it fills.
+func (c *ChainHasher) Add(seed uint64) {
+	c.h = mathutil.Hash2(c.h, seed)
+	if c.n++; c.n < c.bs {
+		return
+	}
+	if c.h == 0 {
+		c.h = 1
+	}
+	c.chain = append(c.chain, c.h)
+	c.h = mathutil.Hash2(c.h, uint64(c.bs))
+	c.n = 0
+}
+
+// Chain returns the fingerprints of the full blocks absorbed so far. The
+// slice is the hasher's own; callers must not modify it.
+func (c *ChainHasher) Chain() []uint64 { return c.chain }
 
 // EnablePrefix turns on shared-prefix reuse. It must be called on an empty
 // allocator (no sequences registered), before any allocation.
@@ -198,7 +234,7 @@ func (a *Allocator) HostBlocksResident() int {
 // availableBlocks is the allocation headroom: free-list blocks plus cold
 // shared blocks that can be reclaimed on demand.
 func (a *Allocator) availableBlocks() int {
-	n := len(a.free)
+	n := a.FreeBlocks()
 	if a.prefix != nil {
 		n += a.prefix.cold.n
 	}
@@ -209,7 +245,7 @@ func (a *Allocator) availableBlocks() int {
 // least-recently-used cold shared block (demoting it to the host tier when
 // one is configured, dropping it otherwise).
 func (a *Allocator) popAvailable() (int, bool) {
-	if len(a.free) > 0 {
+	if a.FreeBlocks() > 0 {
 		return a.pop(), true
 	}
 	p := a.prefix
@@ -265,64 +301,60 @@ func (a *Allocator) release(h uint64) {
 	p.cold.pushBack(e)
 }
 
-// MatchPrefix returns the longest computed cached prefix of the given prompt
-// token seeds: the cached length in tokens (a multiple of the block size)
-// and the matched block IDs in position order, -1 marking blocks resident on
-// the host tier (matchable, but an allocation against them pays a reload).
-// Read-only: no reference counts, LRU positions or stats change.
-func (a *Allocator) MatchPrefix(tokens []uint64) (int, []int) {
+// matchedBlocks counts the leading chain entries whose blocks are cached and
+// computed (GPU-resident or on the host tier).
+func (a *Allocator) matchedBlocks(chain []uint64) int {
+	for b, h := range chain {
+		if e := a.prefix.table[h]; e == nil || !e.computed {
+			return b
+		}
+	}
+	return len(chain)
+}
+
+// MatchPrefix returns the longest computed cached prefix of a prompt's block
+// fingerprint chain (see ChainHasher): the cached length in tokens (a
+// multiple of the block size) and the matched block IDs in position order,
+// -1 marking blocks resident on the host tier (matchable, but an allocation
+// against them pays a reload). Read-only: no reference counts, LRU positions
+// or stats change.
+func (a *Allocator) MatchPrefix(chain []uint64) (int, []int) {
 	if a.prefix == nil {
 		return 0, nil
 	}
-	bs := a.cfg.BlockSize
-	var blocks []int
-	h := prefixChainSeed
-	for b := 0; (b+1)*bs <= len(tokens); b++ {
-		h = blockChainHash(h, tokens[b*bs:(b+1)*bs])
-		e := a.prefix.table[h]
-		if e == nil || !e.computed {
-			break
+	n := a.matchedBlocks(chain)
+	blocks := make([]int, n)
+	for b, h := range chain[:n] {
+		if e := a.prefix.table[h]; e.onHost {
+			blocks[b] = -1
+		} else {
+			blocks[b] = e.id
 		}
-		id := e.id
-		if e.onHost {
-			id = -1
-		}
-		blocks = append(blocks, id)
 	}
-	return len(blocks) * bs, blocks
+	return n * a.cfg.BlockSize, blocks
 }
 
 // MatchPrefixTokens is the allocation-free probe routers use: the cached
 // prefix length MatchPrefix would report, without materializing the block
 // list.
-func (a *Allocator) MatchPrefixTokens(tokens []uint64) int {
+func (a *Allocator) MatchPrefixTokens(chain []uint64) int {
 	if a.prefix == nil {
 		return 0
 	}
-	bs := a.cfg.BlockSize
-	matched := 0
-	h := prefixChainSeed
-	for b := 0; (b+1)*bs <= len(tokens); b++ {
-		h = blockChainHash(h, tokens[b*bs:(b+1)*bs])
-		e := a.prefix.table[h]
-		if e == nil || !e.computed {
-			break
-		}
-		matched += bs
-	}
-	return matched
+	return a.matchedBlocks(chain) * a.cfg.BlockSize
 }
 
 // AllocateWithPrefix registers a new sequence reserving tokens tokens, like
-// Allocate, but first matches the prompt's token seeds against the prefix
-// cache: the longest computed cached prefix (capped at matchLimit tokens,
-// rounded down to full blocks) is taken by reference instead of from the
-// free list, and the sequence's own remaining full prompt blocks are
-// registered as shareable for later arrivals. Capacity is only needed for
+// Allocate, but first matches the prompt's block fingerprint chain (see
+// ChainHasher) against the prefix cache: the longest computed cached prefix
+// (capped at matchLimit tokens, rounded down to full blocks) is taken by
+// reference instead of from the free list, and the sequence's own remaining
+// full prompt blocks are registered as shareable for later arrivals.
+// matchLimit must not exceed the prompt length. Capacity is only needed for
 // the unmatched remainder (plus one GPU slot per host-resident match), which
 // is how prefix reuse stretches KV capacity. With prefix caching disabled it
 // degrades to plain Allocate.
-func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, matchLimit int) (PrefixHit, error) {
+func (a *Allocator) AllocateWithPrefix(seqID, tokens int, chain []uint64, matchLimit int) (PrefixHit, error) {
 	var hit PrefixHit
 	if a.prefix == nil {
 		return hit, a.Allocate(seqID, tokens)
@@ -338,26 +370,21 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, match
 	if matchLimit > tokens {
 		matchLimit = tokens
 	}
-	if matchLimit > len(prompt) {
-		matchLimit = len(prompt)
-	}
+	// The sequence registers the prompt's full blocks that its reservation
+	// covers; at most matchLimit tokens of them may be matched.
+	regBlocks := min(len(chain), tokens/bs)
+	matchBlocks := min(regBlocks, max(matchLimit, 0)/bs)
 
-	// Match: walk the fingerprint chain over full blocks while computed
-	// entries exist.
-	var matched []*shared
-	var chain []uint64
-	h := prefixChainSeed
-	b := 0
-	for ; (b+1)*bs <= matchLimit; b++ {
-		h2 := blockChainHash(h, prompt[b*bs:(b+1)*bs])
-		e := p.table[h2]
+	// Match: walk the fingerprint chain while computed entries exist.
+	matched := p.matched[:0]
+	for _, h := range chain[:matchBlocks] {
+		e := p.table[h]
 		if e == nil || !e.computed {
 			break
 		}
 		matched = append(matched, e)
-		chain = append(chain, h2)
-		h = h2
 	}
+	p.matched = matched
 	if matchLimit > 0 {
 		p.stats.Lookups++
 	}
@@ -376,7 +403,7 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, match
 		}
 	}
 	need := totalBlocks - len(matched) + hostMatched
-	if avail := len(a.free) + p.cold.n - coldMatched; need > avail {
+	if avail := a.FreeBlocks() + p.cold.n - coldMatched; need > avail {
 		a.Failures++
 		return PrefixHit{}, fmt.Errorf("kvcache: need %d blocks, %d free", need, avail)
 	}
@@ -387,10 +414,13 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, match
 	}
 
 	// Acquire GPU-resident matches first: that pulls matched cold entries
-	// off the reclaim list before popAvailable can evict them.
-	s := &seq{tokens: tokens}
+	// off the reclaim list before popAvailable can evict them. Matched
+	// blocks are computed already, so the MarkComputed watermark starts
+	// past them.
+	s := &seq{tokens: tokens, marked: len(matched)}
 	s.blocks = make([]int, 0, totalBlocks)
-	s.hashes = append(s.hashes, chain...)
+	s.hashes = make([]uint64, len(matched), regBlocks)
+	copy(s.hashes, chain)
 	for _, e := range matched {
 		if e.onHost {
 			s.blocks = append(s.blocks, -1) // reload slot, filled below
@@ -436,8 +466,8 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, match
 	// Register the sequence's remaining full prompt blocks as shareable.
 	// The fingerprint chain continues across blocks whose hash is already
 	// claimed (content is content); such blocks simply stay private here.
-	for ; (b+1)*bs <= len(prompt) && (b+1)*bs <= tokens; b++ {
-		h = blockChainHash(h, prompt[b*bs:(b+1)*bs])
+	for b := len(matched); b < regBlocks; b++ {
+		h := chain[b]
 		if p.table[h] == nil {
 			p.table[h] = &shared{hash: h, id: s.blocks[b], refs: 1}
 			s.hashes = append(s.hashes, h)
@@ -458,8 +488,10 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, match
 // MarkComputed records that a sequence's prompt KV is materialized up to
 // doneTokens: its registry-backed blocks fully covered by that length become
 // matchable by later allocations. Schedulers call this as prefill
-// progresses; blocks acquired from the cache were computed already, so
-// re-marking them is a no-op.
+// progresses, every iteration; it visits only blocks newly covered since the
+// sequence's last call, which is exact because an entry a live sequence
+// holds is never deleted or un-computed. Blocks acquired from the cache
+// were computed already and start below the watermark.
 func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 	if a.prefix == nil {
 		return
@@ -468,16 +500,10 @@ func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 	if !ok {
 		return
 	}
-	bs := a.cfg.BlockSize
-	for i, h := range s.hashes {
-		if (i+1)*bs > doneTokens {
-			break
-		}
-		if h == 0 {
-			continue
-		}
-		if e := a.prefix.table[h]; e != nil {
-			e.computed = true
+	full := min(doneTokens/a.cfg.BlockSize, len(s.hashes))
+	for ; s.marked < full; s.marked++ {
+		if h := s.hashes[s.marked]; h != 0 {
+			a.prefix.table[h].computed = true
 		}
 	}
 }
@@ -500,8 +526,16 @@ func (a *Allocator) CheckInvariants() error {
 		claim[id] = who
 		return nil
 	}
+	if a.fresh < 0 || a.fresh > a.cfg.NumBlocks {
+		return fmt.Errorf("kvcache: fresh watermark %d outside [0, %d]", a.fresh, a.cfg.NumBlocks)
+	}
 	for _, id := range a.free {
 		if err := take(id, "free list"); err != nil {
+			return err
+		}
+	}
+	for id := a.fresh; id < a.cfg.NumBlocks; id++ {
+		if err := take(id, "fresh range"); err != nil {
 			return err
 		}
 	}
@@ -513,6 +547,14 @@ func (a *Allocator) CheckInvariants() error {
 		}
 		if len(s.hashes) > len(s.blocks) {
 			return fmt.Errorf("kvcache: seq %d has %d hashes for %d blocks", seqID, len(s.hashes), len(s.blocks))
+		}
+		if s.marked < 0 || s.marked > len(s.hashes) {
+			return fmt.Errorf("kvcache: seq %d watermark %d outside its %d hashes", seqID, s.marked, len(s.hashes))
+		}
+		for i, h := range s.hashes[:s.marked] {
+			if h != 0 && (a.prefix.table[h] == nil || !a.prefix.table[h].computed) {
+				return fmt.Errorf("kvcache: seq %d block %d below watermark %d is not computed", seqID, i, s.marked)
+			}
 		}
 		for i, id := range s.blocks {
 			if i < len(s.hashes) && s.hashes[i] != 0 {

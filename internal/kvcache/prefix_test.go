@@ -17,13 +17,31 @@ func newPrefixAlloc(t *testing.T, blockSize, numBlocks int, cfg PrefixConfig) *A
 	return a
 }
 
-// prompt fabricates deterministic token seeds for n tokens of "document" doc.
+// prompt fabricates the block fingerprint chain, in the 4-token blocks every
+// prefix test uses, of n tokens of "document" doc.
 func prompt(doc uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = mathutil.Hash2(doc, uint64(i))
+	c := NewChainHasher(4, n)
+	for i := 0; i < n; i++ {
+		c.Add(mathutil.Hash2(doc, uint64(i)))
 	}
-	return out
+	return c.Chain()
+}
+
+// rescanMarks applies MarkComputed's full-rescan definition — every
+// registry-backed block of the sequence fully covered by doneTokens is
+// computed — and reports whether that set any flag still unset.
+func rescanMarks(a *Allocator, seqID, doneTokens int) bool {
+	changed := false
+	for i, h := range a.seqs[seqID].hashes {
+		if (i+1)*a.cfg.BlockSize > doneTokens {
+			break
+		}
+		if e := a.prefix.table[h]; h != 0 && !e.computed {
+			e.computed = true
+			changed = true
+		}
+	}
+	return changed
 }
 
 // check fails the test on the first invariant violation.
@@ -338,11 +356,14 @@ func TestEnablePrefixValidation(t *testing.T) {
 }
 
 // TestPrefixInvariantProperty drives random allocator operations — prefix
-// allocations over a tiny document alphabet (forcing heavy sharing), extends,
-// shrinks, frees and prefill completions — and runs the full CheckInvariants
-// accounting after every single mutation: refcounts equal actual holders,
-// every block has exactly one owner, LRU lists agree with entry states, and
-// the host tier respects its bound.
+// allocations over a tiny document alphabet (forcing heavy sharing), extends
+// (copy-on-write when the last block is shared and partial), shrinks, frees
+// and prefill completions — and runs the full CheckInvariants accounting
+// after every single mutation: refcounts equal actual holders, every block
+// has exactly one owner, LRU lists agree with entry states, the host tier
+// respects its bound, and blocks below each watermark are computed. Every
+// MarkComputed is checked against a full rescan: the watermark walk must
+// leave exactly the computed flags the rescan would.
 func TestPrefixInvariantProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		rng := mathutil.NewRNG(seed)
@@ -380,7 +401,12 @@ func TestPrefixInvariantProperty(t *testing.T) {
 				}
 			case 4: // prefill progress makes blocks matchable
 				for id := range live {
-					a.MarkComputed(id, rng.Intn(a.SeqTokens(id)+1))
+					done := rng.Intn(a.SeqTokens(id) + 1)
+					a.MarkComputed(id, done)
+					if rescanMarks(a, id, done) {
+						t.Logf("seq %d: MarkComputed(%d) left blocks a full rescan marks", id, done)
+						return false
+					}
 					break
 				}
 			case 5: // free
@@ -481,4 +507,46 @@ func TestPrefixReloadSurvivesHostOverflow(t *testing.T) {
 	if got := a.MatchPrefixTokens(prompt(1, 8)); got != 8 {
 		t.Fatalf("donor prefix matches %d tokens after reload, want 8", got)
 	}
+}
+
+// TestChainHasherPrefixStable checks the chain's shape: one fingerprint per
+// full block, none for a trailing partial block, never the 0 sentinel, and
+// the chain of a prompt's first k tokens is a prefix of the full chain.
+func TestChainHasherPrefixStable(t *testing.T) {
+	full := prompt(9, 64)
+	if len(full) != 16 {
+		t.Fatalf("64 tokens in 4-token blocks gave %d fingerprints", len(full))
+	}
+	for k := 0; k <= 64; k++ {
+		part := prompt(9, k)
+		if len(part) != k/4 {
+			t.Fatalf("%d tokens gave %d fingerprints, want %d", k, len(part), k/4)
+		}
+		for i, h := range part {
+			if h == 0 || h != full[i] {
+				t.Fatalf("%d-token chain entry %d = %#x, full chain has %#x", k, i, h, full[i])
+			}
+		}
+	}
+}
+
+// TestMarkComputedAllocatesNothing gates the per-iteration MarkComputed call
+// schedulers make for every running request.
+func TestMarkComputedAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	a := newPrefixAlloc(t, 4, 64, PrefixConfig{})
+	if _, err := a.AllocateWithPrefix(1, 200, prompt(1, 200), 0); err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		done += 2
+		a.MarkComputed(1, done)
+	})
+	if allocs != 0 {
+		t.Fatalf("MarkComputed allocates %.1f times, want 0", allocs)
+	}
+	check(t, a)
 }

@@ -15,7 +15,9 @@ const DefaultDistCacheSize = 1 << 12
 //
 // Each slot owns its entry buffer: a miss rebuilds the distribution in place
 // in the buffer of the slot it evicts, so a warm cache allocates nothing.
-// Buffers are created on a slot's first fill, never up front.
+// The slot array is created on the first lookup and each buffer on its
+// slot's first fill, never up front: a model that is never queried (such as
+// a draft its system never speculates with) costs a few words.
 //
 // A nil *distCache is a valid, disabled cache (every lookup misses with a
 // nil slot, store is a no-op), which is the reference path for determinism
@@ -43,7 +45,7 @@ func newDistCache(size int) *distCache {
 	for n < size {
 		n <<= 1
 	}
-	return &distCache{slots: make([]distCacheSlot, n), mask: uint64(n - 1)}
+	return &distCache{mask: uint64(n - 1)}
 }
 
 // lookup returns the slot for the key pair and whether it holds that pair.
@@ -52,6 +54,9 @@ func newDistCache(size int) *distCache {
 func (c *distCache) lookup(k1, k2 uint64) (*distCacheSlot, bool) {
 	if c == nil {
 		return nil, false
+	}
+	if c.slots == nil {
+		c.slots = make([]distCacheSlot, c.mask+1)
 	}
 	s := &c.slots[(k1^k2)&c.mask]
 	if s.full && s.k1 == k1 && s.k2 == k2 {

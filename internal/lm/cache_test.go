@@ -149,6 +149,9 @@ func TestWarmMissAllocatesNothing(t *testing.T) {
 		return Context{ReqSeed: seed}
 	}
 	full := func(c *distCache) bool {
+		if c.slots == nil {
+			return false
+		}
 		for i := range c.slots {
 			if !c.slots[i].full {
 				return false

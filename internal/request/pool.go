@@ -12,6 +12,10 @@ type Pool struct {
 	waiting []*Request
 	running []*Request
 	done    []*Request
+
+	// decodeBuf and prefillBuf back the DecodingRequests and
+	// PrefillingRequests views.
+	decodeBuf, prefillBuf []*Request
 }
 
 // NewPool returns an empty pool.
@@ -173,23 +177,29 @@ func (p *Pool) NumRunning() int { return len(p.running) }
 func (p *Pool) NumDone() int { return len(p.done) }
 
 // DecodingRequests returns running requests currently in the decode phase.
+// The slice is a buffer the pool owns: it stays valid until the next
+// DecodingRequests call, which overwrites it. Callers that keep the set
+// longer must copy it.
 func (p *Pool) DecodingRequests() []*Request {
-	var out []*Request
-	for _, r := range p.running {
-		if r.Phase == Decoding {
-			out = append(out, r)
-		}
-	}
-	return out
+	p.decodeBuf = p.inPhase(p.decodeBuf, Decoding)
+	return p.decodeBuf
 }
 
-// PrefillingRequests returns running requests still prefilling.
+// PrefillingRequests returns running requests still prefilling, in a
+// pool-owned buffer valid until the next PrefillingRequests call (see
+// DecodingRequests).
 func (p *Pool) PrefillingRequests() []*Request {
-	var out []*Request
+	p.prefillBuf = p.inPhase(p.prefillBuf, Prefilling)
+	return p.prefillBuf
+}
+
+// inPhase refills buf with the running requests in phase ph.
+func (p *Pool) inPhase(buf []*Request, ph Phase) []*Request {
+	buf = buf[:0]
 	for _, r := range p.running {
-		if r.Phase == Prefilling {
-			out = append(out, r)
+		if r.Phase == ph {
+			buf = append(buf, r)
 		}
 	}
-	return out
+	return buf
 }

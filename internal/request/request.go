@@ -7,6 +7,7 @@ package request
 import (
 	"fmt"
 
+	"adaserve/internal/kvcache"
 	"adaserve/internal/lm"
 	"adaserve/internal/mathutil"
 )
@@ -163,6 +164,10 @@ type Request struct {
 	// — the reload must complete before attention can read those blocks, so
 	// the stall lands inside TTFT.
 	ReloadStall float64
+
+	// chain memoizes BlockChain for block size chainBS (0: not computed).
+	chain   []uint64
+	chainBS int
 }
 
 // PromptSegment is a run of prompt tokens with stable content identity: the
@@ -175,36 +180,37 @@ type PromptSegment struct {
 	Len  int
 }
 
-// PromptSeeds returns the content seeds of the first n prompt tokens
-// (clipped to PromptLen): the position-stable token identities prefix
-// caching hashes into block fingerprints. Two requests agree on a position's
-// seed iff their segment decompositions agree up to that position.
-func (r *Request) PromptSeeds(n int) []uint64 {
-	if n > r.PromptLen {
-		n = r.PromptLen
+// BlockChain returns the prompt's block fingerprint chain for KV blocks of
+// bs tokens: one kvcache fingerprint per full prompt block (see
+// kvcache.ChainHasher). The i-th prompt token's content seed is
+// Hash2(seg.Seed, j) for the segment and offset covering it, so two requests
+// share a block fingerprint iff their segment decompositions agree up to the
+// end of that block. Segments shorter than PromptLen pad with
+// request-private content rather than aliasing another request's.
+//
+// The chain is a pure function of PromptSegs, PromptLen, Seed and bs: it is
+// computed on first use and memoized for that block size. Callers must not
+// modify it.
+func (r *Request) BlockChain(bs int) []uint64 {
+	if r.chainBS == bs {
+		return r.chain
 	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	segs := r.PromptSegs
-	if segs == nil {
-		segs = []PromptSegment{{Seed: r.Seed, Len: r.PromptLen}}
-	}
-	for _, seg := range segs {
-		for i := 0; i < seg.Len && len(out) < n; i++ {
-			out = append(out, mathutil.Hash2(seg.Seed, uint64(i)))
+	c := kvcache.NewChainHasher(bs, r.PromptLen)
+	n := r.PromptLen / bs * bs // seeds past the last full block never hash
+	fed := 0
+	for _, seg := range r.PromptSegs {
+		for i := 0; i < seg.Len && fed < n; i++ {
+			c.Add(mathutil.Hash2(seg.Seed, uint64(i)))
+			fed++
 		}
-		if len(out) == n {
-			break
-		}
 	}
-	for len(out) < n {
-		// Defensive: segments shorter than PromptLen pad with request-private
-		// content rather than aliasing another request's.
-		out = append(out, mathutil.Hash2(r.Seed, uint64(len(out))))
+	// Past the segments — the whole prompt when PromptSegs is nil — token
+	// fed's seed is Hash2(Seed, fed): one request-private segment.
+	for ; fed < n; fed++ {
+		c.Add(mathutil.Hash2(r.Seed, uint64(fed)))
 	}
-	return out
+	r.chain, r.chainBS = c.Chain(), bs
+	return r.chain
 }
 
 // New constructs a queued request with the mandatory fields set and
@@ -223,7 +229,8 @@ func New(id int, cat Category, slo float64, arrival float64, promptLen, maxNew i
 // Clone returns a fresh Queued copy of the request's immutable trace fields
 // (identity, SLO, arrival, lengths, seed) with lifecycle state reset, so the
 // same trace can be replayed through multiple configurations without
-// sharing mutable state.
+// sharing mutable state. The BlockChain memo is not copied: the copy
+// recomputes its own, so clones replayed concurrently never share a write.
 func (r *Request) Clone() *Request {
 	cp := New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
 	cp.TTFTSLO = r.TTFTSLO

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaserve/internal/lm"
+	"adaserve/internal/mathutil"
 )
 
 func newReq(t *testing.T) *Request {
@@ -224,54 +225,119 @@ func TestContextAndPrefillAccounting(t *testing.T) {
 	}
 }
 
-// TestPromptSeedsSegments covers the seg-aware prompt content derivation the
-// prefix cache hashes: segment boundaries, clamping, the no-segment fallback
-// to request-private content, and the short-segment padding guard.
-func TestPromptSeedsSegments(t *testing.T) {
-	r := New(1, Chat, 0.05, 0, 8, 4, 99)
-	plain := r.PromptSeeds(8)
-	if len(plain) != 8 {
-		t.Fatalf("got %d seeds, want 8", len(plain))
+// refPromptSeeds is the reference per-token content derivation: the seeds
+// of all PromptLen prompt tokens, segment by segment, padded with
+// request-private content.
+func refPromptSeeds(r *Request) []uint64 {
+	out := make([]uint64, 0, r.PromptLen)
+	segs := r.PromptSegs
+	if segs == nil {
+		segs = []PromptSegment{{Seed: r.Seed, Len: r.PromptLen}}
 	}
-	if again := r.PromptSeeds(8); !reflect.DeepEqual(plain, again) {
-		t.Fatal("PromptSeeds not deterministic")
+	for _, seg := range segs {
+		for i := 0; i < seg.Len && len(out) < r.PromptLen; i++ {
+			out = append(out, mathutil.Hash2(seg.Seed, uint64(i)))
+		}
 	}
-	if r.PromptSeeds(0) != nil || r.PromptSeeds(-1) != nil {
-		t.Fatal("non-positive n must return nil")
+	for len(out) < r.PromptLen {
+		out = append(out, mathutil.Hash2(r.Seed, uint64(len(out))))
 	}
-	if got := r.PromptSeeds(100); len(got) != 8 {
-		t.Fatalf("n beyond PromptLen returned %d seeds, want clamp to 8", len(got))
-	}
+	return out
+}
 
-	// Two requests sharing a segment agree exactly over it and nowhere else.
-	shared := PromptSegment{Seed: 0xabc, Len: 5}
-	a := New(2, Chat, 0.05, 0, 8, 4, 7)
-	a.PromptSegs = []PromptSegment{shared, {Seed: 1, Len: 3}}
-	b := New(3, Chat, 0.05, 0, 8, 4, 8)
-	b.PromptSegs = []PromptSegment{shared, {Seed: 2, Len: 3}}
-	sa, sb := a.PromptSeeds(8), b.PromptSeeds(8)
-	if !reflect.DeepEqual(sa[:5], sb[:5]) {
-		t.Fatal("shared segment produced different content")
+// refBlockChain is the reference block chain over a materialized seed
+// slice: each full block's fingerprint hashes the block length and its seeds
+// into the previous fingerprint (anchored at the chain seed), 0 remapped
+// to 1.
+func refBlockChain(r *Request, bs int) []uint64 {
+	seeds := refPromptSeeds(r)
+	var out []uint64
+	prev := uint64(0x70726566697843)
+	for b := 0; (b+1)*bs <= len(seeds); b++ {
+		h := mathutil.Hash2(prev, uint64(bs))
+		for _, t := range seeds[b*bs : (b+1)*bs] {
+			h = mathutil.Hash2(h, t)
+		}
+		if h == 0 {
+			h = 1
+		}
+		out = append(out, h)
+		prev = h
 	}
-	if reflect.DeepEqual(sa[5:], sb[5:]) {
-		t.Fatal("private tails collided")
-	}
+	return out
+}
 
-	// A truncated read stops mid-segment.
-	if got := a.PromptSeeds(6); !reflect.DeepEqual(got, sa[:6]) {
-		t.Fatal("mid-segment truncation diverged from the full read")
+// TestBlockChainMatchesPerTokenSeeds pins the streamed chain to the
+// per-token derivation over random segment decompositions, segments shorter
+// than PromptLen (the padding path), segments longer than it, prompts
+// shorter than one block, and several block sizes.
+func TestBlockChainMatchesPerTokenSeeds(t *testing.T) {
+	rng := mathutil.NewRNG(5)
+	for trial := 0; trial < 300; trial++ {
+		promptLen := 1 + rng.Intn(90)
+		r := New(trial, Chat, 0.05, 0, promptLen, 4, rng.Uint64())
+		switch trial % 4 {
+		case 0: // nil: one request-private segment
+		case 1, 2: // exact decomposition (trial%4 == 2 then trims it short)
+			for left := promptLen; left > 0; {
+				n := 1 + rng.Intn(left)
+				r.PromptSegs = append(r.PromptSegs, PromptSegment{Seed: uint64(rng.Intn(4)), Len: n})
+				left -= n
+			}
+			if trial%4 == 2 {
+				last := &r.PromptSegs[len(r.PromptSegs)-1]
+				last.Len = rng.Intn(last.Len)
+			}
+		case 3: // segments overrunning PromptLen are clipped
+			r.PromptSegs = []PromptSegment{{Seed: 1, Len: promptLen / 2}, {Seed: 2, Len: promptLen + 7}}
+		}
+		for _, bs := range []int{1, 4, 16, 128} {
+			want := refBlockChain(r, bs)
+			got := r.BlockChain(bs)
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("trial %d bs %d segs %v len %d: chain %v, want %v",
+					trial, bs, r.PromptSegs, promptLen, got, want)
+			}
+		}
+	}
+}
+
+// TestBlockChainSegments covers what the chain means for sharing: requests
+// agree on exactly the blocks their segment decompositions agree on, padding
+// never aliases, and the memo serves repeat calls without recomputing.
+func TestBlockChainSegments(t *testing.T) {
+	shared := PromptSegment{Seed: 0xabc, Len: 9}
+	a := New(2, Chat, 0.05, 0, 16, 4, 7)
+	a.PromptSegs = []PromptSegment{shared, {Seed: 1, Len: 7}}
+	b := New(3, Chat, 0.05, 0, 16, 4, 8)
+	b.PromptSegs = []PromptSegment{shared, {Seed: 2, Len: 7}}
+	ca, cb := a.BlockChain(4), b.BlockChain(4)
+	if len(ca) != 4 || !reflect.DeepEqual(ca[:2], cb[:2]) {
+		t.Fatalf("blocks inside the shared segment differ: %v vs %v", ca, cb)
+	}
+	if ca[2] == cb[2] || ca[3] == cb[3] {
+		t.Fatal("blocks past the shared segment collided")
+	}
+	if again := a.BlockChain(4); &again[0] != &ca[0] {
+		t.Fatal("repeat call recomputed the memoized chain")
+	}
+	if other := a.BlockChain(8); len(other) != 2 || other[0] == ca[1] {
+		t.Fatalf("block-size change served the stale memo: %v", other)
+	}
+	if cl := a.Clone(); cl.chainBS != 0 || !reflect.DeepEqual(cl.BlockChain(8), a.BlockChain(8)) {
+		t.Fatal("clone must recompute the same chain from its own memo")
+	}
+	if short := New(4, Chat, 0.05, 0, 3, 4, 9); len(short.BlockChain(4)) != 0 {
+		t.Fatal("a prompt shorter than one block has no full block to fingerprint")
 	}
 
 	// Segments shorter than PromptLen pad with request-private content.
 	c := New(4, Chat, 0.05, 0, 8, 4, 11)
 	c.PromptSegs = []PromptSegment{{Seed: 0xabc, Len: 5}}
-	sc := c.PromptSeeds(8)
-	if len(sc) != 8 {
-		t.Fatalf("padded read returned %d seeds, want 8", len(sc))
-	}
 	d := New(5, Chat, 0.05, 0, 8, 4, 12)
 	d.PromptSegs = []PromptSegment{{Seed: 0xabc, Len: 5}}
-	if reflect.DeepEqual(sc[5:], d.PromptSeeds(8)[5:]) {
-		t.Fatal("padding aliased across requests")
+	cc, cd := c.BlockChain(4), d.BlockChain(4)
+	if cc[0] != cd[0] || cc[1] == cd[1] {
+		t.Fatalf("padding aliased across requests: %v vs %v", cc, cd)
 	}
 }

@@ -97,3 +97,29 @@ func TestSchedPrefixDisabledStatsOff(t *testing.T) {
 		t.Fatalf("disabled probe reports %d cached tokens", got)
 	}
 }
+
+// TestPrefixProbeAllocatesNothing gates the router probe: once a request's
+// fingerprint chain is memoized, PrefixCachedTokens only walks the table.
+func TestPrefixProbeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	sys := prefixSystem(t).(*AdaServe)
+	donor := sharedPromptReq(1, 64)
+	sys.Pool().Enqueue(donor)
+	drain(t, sys, 10000)
+
+	r := sharedPromptReq(2, 4000)
+	want := sys.PrefixCachedTokens(r) // computes and memoizes the chain
+	if want < 256 {
+		t.Fatalf("probe reports %d cached tokens, want the shared prompt", want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if sys.PrefixCachedTokens(r) != want {
+			t.Fatal("probe answer changed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("memoized probe allocates %.1f times, want 0", allocs)
+	}
+}

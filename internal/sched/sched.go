@@ -213,7 +213,8 @@ func (b *base) admitOrdered(now float64, less func(a, c *request.Request) bool) 
 }
 
 // allocateKV reserves KV for a not-yet-admitted request. With prefix caching
-// enabled the prompt's token seeds are matched against the cache first: the
+// enabled the prompt's block fingerprint chain (memoized on the request) is
+// matched against the cache first: the
 // matched prefix is taken by reference instead of allocated, the request's
 // PrefillDone jumps past it (the engine then charges only the uncached
 // suffix, while still attending over the full cached context), and any
@@ -229,7 +230,8 @@ func (b *base) allocateKV(r *request.Request) error {
 	if r.PrefillDone == 0 && r.PromptLen > 1 {
 		limit = r.PromptLen - 1
 	}
-	hit, err := b.cfg.KV.AllocateWithPrefix(r.ID, b.reserveTokens(r), r.PromptSeeds(r.PromptLen), limit)
+	chain := r.BlockChain(b.cfg.KV.Config().BlockSize)
+	hit, err := b.cfg.KV.AllocateWithPrefix(r.ID, b.reserveTokens(r), chain, limit)
 	if err != nil {
 		return err
 	}
@@ -253,12 +255,14 @@ func (b *base) KVPrefixStats() (kvcache.PrefixStats, bool) {
 // cache already holds computed — the signal the cluster's prefix-affinity
 // router steers on. Read-only; 0 when prefix caching is off. The probe uses
 // the same PromptLen-1 cap as allocation, so it predicts the admission-time
-// hit exactly.
+// hit exactly. It walks the request's memoized fingerprint chain, so a probe
+// allocates nothing once the chain exists.
 func (b *base) PrefixCachedTokens(r *request.Request) int {
 	if !b.cfg.KV.PrefixEnabled() || r.PromptLen <= 1 {
 		return 0
 	}
-	return b.cfg.KV.MatchPrefixTokens(r.PromptSeeds(r.PromptLen - 1))
+	bs := b.cfg.KV.Config().BlockSize
+	return b.cfg.KV.MatchPrefixTokens(r.BlockChain(bs)[:(r.PromptLen-1)/bs])
 }
 
 // finish retires done requests and releases their KV. Prefill progress is
