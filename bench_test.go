@@ -219,13 +219,29 @@ func benchModels(b *testing.B) (*lm.SyntheticLM, *lm.DraftLM) {
 	return target, lm.MustDraftLM("d", target, 0.88, 2)
 }
 
-// BenchmarkLMDist measures one synthetic next-token distribution lookup.
+// distSink keeps BenchmarkLMDist's results live.
+var distSink lm.Dist
+
+// BenchmarkLMDist measures one synthetic next-token distribution, for the
+// target and the draft, cycling through a fixed set of decoding-shaped
+// contexts (distinct seeds and history windows) so no call repeats the
+// previous one's context.
 func BenchmarkLMDist(b *testing.B) {
-	target, _ := benchModels(b)
-	ctx := lm.NewContext(7, []lm.Token{1, 2, 3, 4})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = target.Dist(ctx)
+	target, draft := benchModels(b)
+	ctxs := make([]lm.Context, 1024)
+	for i := range ctxs {
+		ctxs[i] = lm.NewContext(uint64(i/8), []lm.Token{lm.Token(i), lm.Token(i % 7), lm.Token(i % 8)})
+	}
+	for _, c := range []struct {
+		name string
+		m    lm.Model
+	}{{"target", target}, {"draft", draft}} {
+		m := c.m
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				distSink = m.Dist(ctxs[i%len(ctxs)])
+			}
+		})
 	}
 }
 

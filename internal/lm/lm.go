@@ -19,14 +19,14 @@
 // experiments replay exactly.
 //
 // Hot-path design: the next-token distribution is a pure function of the
-// 64-bit context hash, so both models memoize distributions behind a
-// fixed-size direct-mapped cache keyed on that hash (exact — entries are
-// validated by full key comparison, never by slot alone). Each cache slot
-// owns its entry buffer and a miss rebuilds the distribution in place, so
-// neither a hit nor a warm miss allocates. The price is a one-call lifetime:
-// a Dist returned by a model stays valid until the next Dist call on the
-// same model, or on a draft built on it. Context itself is a small value
-// type carrying only the HistoryWindow-sized suffix that conditions the
+// 64-bit context hash, so each Dist call rebuilds it from that hash into one
+// entry buffer the model owns. Nothing is memoized (a memo in front of Dist
+// almost never hit: beam search and verification rarely revisit a context)
+// and no call allocates. The price is a one-call lifetime: a Dist returned by
+// a model stays valid until the next Dist call on the same model. A draft
+// builds its distribution in its own buffer, so draft calls never invalidate
+// a target Dist, nor the reverse. Context itself is a small value type
+// carrying only the HistoryWindow-sized suffix that conditions the
 // distribution, so extending a context allocates nothing. Models are NOT
 // safe for concurrent use: give each goroutine its own engine/models, as the
 // parallel experiment runner does.
@@ -34,7 +34,6 @@ package lm
 
 import (
 	"fmt"
-	"sort"
 
 	"adaserve/internal/mathutil"
 )
@@ -52,10 +51,11 @@ type TokenProb struct {
 // small candidate set plus Tail mass smeared uniformly over the rest of the
 // vocabulary. Entries are sorted by descending probability.
 //
-// The Entries of a model-returned Dist live in a buffer owned by the model's
-// distribution cache: treat them as read-only, and as valid only until the
-// next Dist call on the same model, or on a draft built on it (a miss
-// refills the buffer in place). Copy what must outlive that, e.g. via TopK.
+// The Entries of a model-returned Dist live in a buffer owned by that model:
+// treat them as read-only, and as valid only until the next Dist call on the
+// same model, which refills the buffer in place. Calls on other models (a
+// draft and its target included) leave it alone. Copy what must outlive
+// that, e.g. via TopK.
 type Dist struct {
 	Entries []TokenProb
 	// Tail is the probability mass not covered by Entries.
@@ -255,8 +255,8 @@ type SyntheticLM struct {
 	// DraftLM rebuild mistaken distributions by swapping token positions
 	// instead of sorting.
 	strictOrder bool
-	// cache memoizes hash -> distribution (nil when disabled).
-	cache *distCache
+	// buf is the entry buffer every Dist call refills.
+	buf []TokenProb
 }
 
 // NewSyntheticLM constructs a target model.
@@ -288,7 +288,7 @@ func NewSyntheticLM(name string, seed uint64, vocab, branch int, sharpness, tail
 	return &SyntheticLM{
 		name: name, seed: seed, vocab: vocab, branch: branch,
 		weights: w, tail: tail, strictOrder: strict,
-		cache: newDistCache(DefaultDistCacheSize),
+		buf: make([]TokenProb, 0, branch),
 	}, nil
 }
 
@@ -307,47 +307,28 @@ func (m *SyntheticLM) Name() string { return m.name }
 // Vocab implements Model.
 func (m *SyntheticLM) Vocab() int { return m.vocab }
 
-// SetDistCacheSize resizes (and clears) the model's distribution cache. The
-// size is rounded up to a power of two; size <= 0 disables caching (every
-// Dist call recomputes — the reference path cached runs must match
-// byte-for-byte).
-func (m *SyntheticLM) SetDistCacheSize(size int) { m.cache = newDistCache(size) }
-
-// CacheStats returns cumulative (hits, misses) of the distribution cache.
-func (m *SyntheticLM) CacheStats() (hits, misses uint64) { return m.cache.stats() }
-
 // Dist implements Model: candidate tokens are chosen by hashing the context;
 // Zipf weights are assigned in hash order so the distribution is a
 // deterministic function of (model seed, request seed, history window).
-// Results are memoized by context hash; a hit, and a miss once the cache is
-// warm, allocate nothing.
+// It refills the model's entry buffer and allocates nothing.
 func (m *SyntheticLM) Dist(ctx Context) Dist {
-	return m.distForHash(ctx.hash(m.seed))
+	m.buf = m.candidates(m.buf, ctx.hash(m.seed))
+	return Dist{Entries: m.buf, Tail: m.tail, Vocab: m.vocab}
 }
 
-// distForHash returns the (possibly cached) distribution for a context hash.
-func (m *SyntheticLM) distForHash(h uint64) Dist {
-	s, ok := m.cache.lookup(h, 0)
-	if ok {
-		return s.dist
-	}
-	d := m.computeDist(h, s)
-	s.store(h, 0, d)
-	return d
-}
-
-// computeDist materializes the distribution for a context hash into the
-// buffer of slot s (a fresh slice when s is nil: cache disabled). Candidate
-// dedup uses a linear scan (branch is small), not a map.
-func (m *SyntheticLM) computeDist(h uint64, s *distCacheSlot) Dist {
-	entries := s.entries(m.branch)
+// candidates refills dst, reusing its storage, with the entries of the
+// distribution for context hash h: branch distinct tokens drawn from the
+// hash stream, weighted in draw order. Dedup is a linear scan (branch is
+// small), not a map.
+func (m *SyntheticLM) candidates(dst []TokenProb, h uint64) []TokenProb {
+	dst = dst[:0]
 	x := h
-	for len(entries) < m.branch {
+	for len(dst) < m.branch {
 		x = mathutil.SplitMix64(x)
 		tok := Token(x % uint64(m.vocab))
 		dup := false
-		for i := range entries {
-			if entries[i].Token == tok {
+		for i := range dst {
+			if dst[i].Token == tok {
 				dup = true
 				break
 			}
@@ -355,9 +336,9 @@ func (m *SyntheticLM) computeDist(h uint64, s *distCacheSlot) Dist {
 		if dup {
 			continue
 		}
-		entries = append(entries, TokenProb{Token: tok, Prob: m.weights[len(entries)]})
+		dst = append(dst, TokenProb{Token: tok, Prob: m.weights[len(dst)]})
 	}
-	return Dist{Entries: entries, Tail: m.tail, Vocab: m.vocab}
+	return dst
 }
 
 // DraftLM approximates a target model with tunable alignment, mimicking a
@@ -383,9 +364,9 @@ type DraftLM struct {
 	target *SyntheticLM
 	alpha  float64
 	seed   uint64
-	// cache memoizes (draft hash, target hash) -> distribution. The pair
-	// fully determines the output, so caching is exact.
-	cache *distCache
+	// buf is the draft's own entry buffer, refilled by every Dist call (never
+	// the target's, so draft calls leave target distributions intact).
+	buf []TokenProb
 }
 
 // NewDraftLM builds a draft for target with the given per-context agreement
@@ -396,7 +377,7 @@ func NewDraftLM(name string, target *SyntheticLM, alpha float64, seed uint64) (*
 	}
 	return &DraftLM{
 		name: name, target: target, alpha: alpha, seed: seed,
-		cache: newDistCache(DefaultDistCacheSize),
+		buf: make([]TokenProb, 0, target.branch),
 	}, nil
 }
 
@@ -418,62 +399,53 @@ func (d *DraftLM) Vocab() int { return d.target.vocab }
 // Alpha returns the draft/target per-context agreement rate.
 func (d *DraftLM) Alpha() float64 { return d.alpha }
 
-// SetDistCacheSize resizes (and clears) the draft's distribution cache;
-// size <= 0 disables caching (see SyntheticLM.SetDistCacheSize).
-func (d *DraftLM) SetDistCacheSize(size int) { d.cache = newDistCache(size) }
-
-// CacheStats returns cumulative (hits, misses) of the draft's cache.
-func (d *DraftLM) CacheStats() (hits, misses uint64) { return d.cache.stats() }
-
-// Dist implements Model. Results are memoized by the (draft, target) context
-// hash pair; a hit, and a miss once both caches are warm, allocate nothing.
+// Dist implements Model. It builds the target's candidates for ctx straight
+// into the draft's own buffer, then rearranges them in place if the draft is
+// mistaken at ctx; it never calls the target and allocates nothing.
 func (d *DraftLM) Dist(ctx Context) Dist {
+	t := d.target
+	d.buf = t.candidates(d.buf, ctx.hash(t.seed))
 	hd := ctx.hash(d.seed)
-	ht := ctx.hash(d.target.seed)
-	s, ok := d.cache.lookup(hd, ht)
-	if ok {
-		return s.dist
+	if u := float64(hd>>11) / (1 << 53); u >= d.alpha && len(d.buf) >= 2 {
+		d.mistake(d.buf, hd)
 	}
-	dist := d.computeDist(hd, ht, s)
-	s.store(hd, ht, dist)
-	return dist
+	return Dist{Entries: d.buf, Tail: t.tail, Vocab: t.vocab}
 }
 
-// computeDist materializes the draft distribution from the context hash pair
-// into the buffer of slot s (nil: cache disabled).
-func (d *DraftLM) computeDist(hd, ht uint64, s *distCacheSlot) Dist {
-	p := d.target.distForHash(ht)
-	u := float64(hd>>11) / (1 << 53)
-	if u < d.alpha || len(p.Entries) < 2 {
-		if s == nil {
-			return p
-		}
-		// p's entries live in a target cache slot that the next target miss
-		// refills, so a cached draft keeps its own copy.
-		return Dist{Entries: append(s.entries(len(p.Entries)), p.Entries...), Tail: p.Tail, Vocab: p.Vocab}
-	}
-	// Mistaken context: swap the top token's probability with that of a
-	// lower-ranked candidate (rank drawn from the context hash, biased
-	// toward nearby ranks — distilled drafts are near-misses far more often
-	// than wildly wrong, which is what makes width-w tree speculation able
-	// to recover where sequence speculation stalls).
-	entries := append(s.entries(len(p.Entries)), p.Entries...)
-	j := disagreeRank(mathutil.SplitMix64(hd), len(entries)-1)
+// mistake turns the target entries e into a mistaken draft distribution in
+// place: the top token's probability is swapped with that of a lower-ranked
+// candidate (rank drawn from the draft hash hd, biased toward nearby ranks —
+// distilled drafts are near-misses far more often than wildly wrong, which
+// is what makes width-w tree speculation able to recover where sequence
+// speculation stalls), and the entries are re-sorted by (probability desc,
+// token asc).
+func (d *DraftLM) mistake(e []TokenProb, hd uint64) {
+	j := disagreeRank(mathutil.SplitMix64(hd), len(e)-1)
 	if d.target.strictOrder {
 		// With strictly decreasing weights, swapping the probabilities at
 		// ranks 0 and j and re-sorting is exactly a swap of the two tokens'
 		// positions (probabilities stay the rank-ordered weights).
-		entries[0].Token, entries[j].Token = entries[j].Token, entries[0].Token
-	} else {
-		entries[0].Prob, entries[j].Prob = entries[j].Prob, entries[0].Prob
-		sort.SliceStable(entries, func(a, b int) bool {
-			if entries[a].Prob != entries[b].Prob {
-				return entries[a].Prob > entries[b].Prob
-			}
-			return entries[a].Token < entries[b].Token
-		})
+		e[0].Token, e[j].Token = e[j].Token, e[0].Token
+		return
 	}
-	return Dist{Entries: entries, Tail: p.Tail, Vocab: p.Vocab}
+	// Tied weights: equal-probability candidates sit in hash order, so more
+	// than ranks 0 and j may move. Candidate tokens are distinct, which makes
+	// (probability desc, token asc) a total order: an in-place insertion sort
+	// gives the one sorted result without allocating.
+	e[0].Prob, e[j].Prob = e[j].Prob, e[0].Prob
+	for i := 1; i < len(e); i++ {
+		for k := i; k > 0 && ranksBefore(e[k], e[k-1]); k-- {
+			e[k], e[k-1] = e[k-1], e[k]
+		}
+	}
+}
+
+// ranksBefore reports whether a precedes b in a distribution's entry order.
+func ranksBefore(a, b TokenProb) bool {
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
+	}
+	return a.Token < b.Token
 }
 
 // disagreeRank draws the target rank a mistaken draft confuses with the top:

@@ -13,6 +13,13 @@ func newTarget(t *testing.T) *SyntheticLM {
 	return MustSyntheticLM("target", 1, 4096, 16, 3.2, 0.02)
 }
 
+// own copies d's entries out of the model's buffer, so d outlives the next
+// Dist call on the same model.
+func own(d Dist) Dist {
+	d.Entries = append([]TokenProb(nil), d.Entries...)
+	return d
+}
+
 func TestSyntheticLMConstruction(t *testing.T) {
 	cases := []struct {
 		vocab, branch   int
@@ -47,7 +54,7 @@ func TestDistNormalized(t *testing.T) {
 func TestDistDeterministic(t *testing.T) {
 	m := newTarget(t)
 	ctx := NewContext(7, []Token{1, 2, 3})
-	a := m.Dist(ctx)
+	a := own(m.Dist(ctx))
 	b := m.Dist(ctx)
 	if len(a.Entries) != len(b.Entries) {
 		t.Fatal("lengths differ")
@@ -61,7 +68,7 @@ func TestDistDeterministic(t *testing.T) {
 
 func TestDistDependsOnContext(t *testing.T) {
 	m := newTarget(t)
-	a := m.Dist(NewContext(7, []Token{1, 2, 3}))
+	a := own(m.Dist(NewContext(7, []Token{1, 2, 3})))
 	b := m.Dist(NewContext(7, []Token{1, 2, 4}))
 	if a.Argmax() == b.Argmax() {
 		// Possible by chance; require at least the candidate sets differ.
@@ -80,7 +87,7 @@ func TestDistDependsOnContext(t *testing.T) {
 
 func TestDistDependsOnSeed(t *testing.T) {
 	m := newTarget(t)
-	a := m.Dist(Context{ReqSeed: 1})
+	a := own(m.Dist(Context{ReqSeed: 1}))
 	b := m.Dist(Context{ReqSeed: 2})
 	if a.Argmax() == b.Argmax() && a.Entries[1].Token == b.Entries[1].Token {
 		t.Fatal("different request seeds produced identical top entries")
@@ -93,7 +100,7 @@ func TestHistoryWindowLimits(t *testing.T) {
 	for i := range long {
 		long[i] = Token(i)
 	}
-	a := m.Dist(NewContext(5, long))
+	a := own(m.Dist(NewContext(5, long)))
 	// Changing a token OUTSIDE the window must not change the distribution.
 	long2 := append([]Token(nil), long...)
 	long2[0] = 999
