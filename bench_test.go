@@ -506,24 +506,21 @@ func BenchmarkTraceGrid(b *testing.B) {
 }
 
 // BenchmarkObsOverhead prices the streaming observability layer against the
-// observer-free hot path. The bare sub-benchmark runs a two-replica cluster
-// with no observers subscribed — the driver's tracking flag stays off, so no
-// event values are materialized; any allocs/op growth here is a hot-path
-// regression. The observed sub-benchmark subscribes the span recorder and
-// metrics exporter (with periodic snapshots) to the identical run, so the
-// delta between the two is the full cost of observability.
+// observer-free hot path. The bare sub-benchmarks run with no observers
+// subscribed — the driver's tracking flag stays off, so no event values are
+// materialized; any allocs/op growth there is a hot-path regression. The
+// observed sub-benchmarks subscribe the span recorder and metrics exporter
+// (with periodic snapshots) to the identical run, so the delta between the
+// two is the full cost of observability. The top-level pair is a short
+// two-replica AdaServe run; the long pair is a 4-replica Sarathi-Serve fleet
+// over 120 s, where span memory (which grows with committed tokens, not
+// requests) dominates.
 func BenchmarkObsOverhead(b *testing.B) {
 	setup := experiments.Llama70B()
-	const obsDuration = 6.0
-	run := func(b *testing.B, observe bool) {
+	run := func(b *testing.B, sc experiments.Scenario, observe bool) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sc := experiments.Scenario{
-				System: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: obsDuration,
-				Replicas: 2, Router: "slo-aware",
-				OpenLoop: &experiments.OpenLoop{Profile: "spike", MeanRPS: experiments.AdaptiveMeanRPS(setup), GenSalt: 0xada},
-			}
 			if observe {
 				sc.SnapshotEvery = 1
 				sc.Observers = []serve.Observer{obs.NewSpanRecorder(), obs.NewMetricsExporter()}
@@ -533,6 +530,19 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("bare", func(b *testing.B) { run(b, false) })
-	b.Run("observed", func(b *testing.B) { run(b, true) })
+	short := experiments.Scenario{
+		System: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: 6,
+		Replicas: 2, Router: "slo-aware",
+		OpenLoop: &experiments.OpenLoop{Profile: "spike", MeanRPS: experiments.AdaptiveMeanRPS(setup), GenSalt: 0xada},
+	}
+	const longReplicas = 4
+	long := experiments.Scenario{
+		System: experiments.SysSarathi, Setup: setup, Seed: 1, Duration: 120,
+		Replicas: longReplicas, Router: "slo-aware",
+		OpenLoop: &experiments.OpenLoop{Profile: "spike", MeanRPS: longReplicas * experiments.ClusterPerReplicaRPS(setup), GenSalt: 0xada},
+	}
+	b.Run("bare", func(b *testing.B) { run(b, short, false) })
+	b.Run("observed", func(b *testing.B) { run(b, short, true) })
+	b.Run("long/bare", func(b *testing.B) { run(b, long, false) })
+	b.Run("long/observed", func(b *testing.B) { run(b, long, true) })
 }

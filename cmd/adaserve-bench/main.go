@@ -36,6 +36,7 @@ import (
 	"adaserve/internal/faults"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
+	"adaserve/internal/prof"
 	"adaserve/internal/workload"
 )
 
@@ -74,6 +75,8 @@ func main() {
 		"worker goroutines for independent grid points (results are identical at any value)")
 	faultsFlag := flag.String("faults", "",
 		`custom fault schedule for -exp faults, e.g. "crash@30+10:r0; slow@60+20:x4" (empty: built-in scenarios)`)
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
 
 	var setups []experiments.ModelSetup
@@ -93,6 +96,10 @@ func main() {
 		log.Fatal(err)
 	}
 	customFaults, err := faults.ParseSpec(*faultsFlag)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -153,6 +160,9 @@ func main() {
 		if all || want["hardware"] {
 			runHardware(setup)
 		}
+	}
+	if err := stopProf(); err != nil {
+		log.Fatal(err)
 	}
 }
 

@@ -70,3 +70,20 @@ func checkGolden(t *testing.T, name, got string) {
 		t.Errorf("%s differs from the golden (rerun with -update only for an intended change):\n--- got\n%s\n--- want\n%s", name, got, want)
 	}
 }
+
+// TestProfileFlags: -cpuprofile and -memprofile each write a non-empty
+// profile and leave the report byte-identical to the default golden.
+func TestProfileFlags(t *testing.T) {
+	tmp := t.TempDir()
+	cpu, mem := filepath.Join(tmp, "cpu.pprof"), filepath.Join(tmp, "mem.pprof")
+	var out bytes.Buffer
+	if err := run([]string{"-duration", "10", "-cpuprofile", cpu, "-memprofile", mem}, &out); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "default.golden", out.String())
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Fatalf("profile %s not written (err %v)", filepath.Base(path), err)
+		}
+	}
+}

@@ -93,6 +93,7 @@ import (
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/obs"
+	"adaserve/internal/prof"
 	"adaserve/internal/request"
 	"adaserve/internal/serve"
 	"adaserve/internal/trace"
@@ -173,6 +174,9 @@ type cli struct {
 	live, percentiles   bool
 	export              string
 	spanOut, metricsOut string
+
+	// cpuProfile and memProfile are the -cpuprofile/-memprofile paths.
+	cpuProfile, memProfile string
 }
 
 // parseArgs maps the flags onto a Scenario and validates it, before any
@@ -206,6 +210,8 @@ func parseArgs(args []string) (*cli, error) {
 	metricsOut := fs.String("metrics-out", "", "write run metrics to this file: .json = JSON series, anything else = Prometheus text exposition")
 	percentiles := fs.Bool("percentiles", false, "print the per-class latency percentile table after the run")
 	seed := fs.Uint64("seed", 1, "random seed")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -236,6 +242,7 @@ func parseArgs(args []string) (*cli, error) {
 		prefix: *prefixFlag, prefixTier: *prefixTier,
 		live: *live, percentiles: *percentiles,
 		export: *exportFlag, spanOut: *spanOut, metricsOut: *metricsOut,
+		cpuProfile: *cpuProfile, memProfile: *memProfile,
 	}
 	if *urgent > 0 {
 		c.mix = workload.UrgentMix(*urgent)
@@ -294,11 +301,16 @@ func parseArgs(args []string) (*cli, error) {
 }
 
 // run parses args and drives one simulation, writing every report line to w.
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	c, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
+	stopProf, err := prof.Start(c.cpuProfile, c.memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProf()) }()
 	sc := &c.sc
 	fmt.Fprintf(w, "model: %s (baseline %.1f ms/token)\n", sc.Setup.Name, 1e3*sc.Setup.BaselineLatency())
 	switch {

@@ -130,7 +130,7 @@ func TestWriteTraceValidDeterministicJSON(t *testing.T) {
 		r2 := mkReq(2, 1)
 		sr.OnEvent(serve.RequestAdmitted{EventMeta: meta(1, 0), Req: r2, Instance: 0})
 		r2.AdmitTime, r2.FirstDecodeTime, r2.DoneTime = 1.1, 1.2, 2
-		sr.OnEvent(serve.TokensCommitted{EventMeta: meta(1.5, 1), Req: r2, Instance: 0, Tokens: 4, Total: 4})
+		sr.OnEvent(serve.TokensCommitted{Commit: &serve.Commit{EventMeta: meta(1.5, 1), Req: r2, Instance: 0, Tokens: 4, Total: 4}})
 		sr.OnEvent(serve.RequestFinished{EventMeta: meta(2, 2), Req: r2, Instance: 0, Attained: true, TTFTAttained: true})
 		r1 := mkReq(1, 0.5)
 		sr.OnEvent(serve.RequestRejected{EventMeta: meta(0.5, 3), Req: r1, Reason: "ttft unmeetable"})

@@ -1,0 +1,7 @@
+//go:build race
+
+package obs
+
+// raceEnabled reports a -race build, whose detector adds allocations that
+// allocation tests must not charge to the code under test.
+const raceEnabled = true

@@ -76,13 +76,40 @@ type Timeline struct {
 	Retries int `json:"retries,omitempty"`
 	Hedges  int `json:"hedges,omitempty"`
 	// Phases are the contiguous lifecycle spans in time order; Marks the
-	// instantaneous annotations in event-delivery order.
+	// instantaneous annotations in event-delivery order, filled in once by
+	// Timelines.
 	Phases []Phase `json:"phases"`
 	Marks  []Mark  `json:"marks"`
 
 	admitInstance int
 	migrations    []migration
+	// Until Timelines materializes Marks, commit marks live in the
+	// recorder's arena as a list linked from head to tail (-1 when empty),
+	// and every other mark in notes.
+	head, tail int
+	commits    int
+	notes      []note
+	built      bool
 }
+
+// note is a non-commit mark tagged with the number of commits delivered
+// before it, which fixes its place among the commit marks.
+type note struct {
+	Mark
+	after int
+}
+
+// commitRec is one packed commit mark in the recorder's arena; next is the
+// arena index of the same request's next commit (-1 at the tail).
+type commitRec struct {
+	time         float64
+	tokens, inst int32
+	next         int
+}
+
+// commitChunk is the number of records per arena chunk. Records never move:
+// the arena grows by whole chunks.
+const commitChunk = 1 << 12
 
 // SpanRecorder is a serve.Observer that assembles per-request span
 // timelines from the event stream: queued → prefill → KV-transfer → decode,
@@ -92,6 +119,10 @@ type Timeline struct {
 type SpanRecorder struct {
 	live map[int]*Timeline
 	done []*Timeline
+	// arena holds every commit mark, commitChunk records per chunk; n is
+	// the number of records in use.
+	arena [][]commitRec
+	n     int
 }
 
 // NewSpanRecorder returns an empty recorder.
@@ -103,7 +134,7 @@ func NewSpanRecorder() *SpanRecorder {
 func (sr *SpanRecorder) timeline(r *request.Request) *Timeline {
 	tl := sr.live[r.ID]
 	if tl == nil {
-		tl = &Timeline{ID: r.ID, Class: r.Category.String(), Arrival: r.ArrivalTime, Finish: -1, admitInstance: -1}
+		tl = &Timeline{ID: r.ID, Class: r.Category.String(), Arrival: r.ArrivalTime, Finish: -1, admitInstance: -1, head: -1, tail: -1}
 		sr.live[r.ID] = tl
 	}
 	return tl
@@ -118,7 +149,7 @@ func (sr *SpanRecorder) OnEvent(ev serve.Event) {
 		tl := sr.timeline(e.Req)
 		tl.Class = e.From.String()
 		tl.DegradedTo = e.To.String()
-		tl.Marks = append(tl.Marks, Mark{
+		tl.note(Mark{
 			Name: "degraded", Time: e.Time, Instance: -1,
 			Detail: fmt.Sprintf("%s→%s: %s", e.From, e.To, e.Reason),
 		})
@@ -128,31 +159,30 @@ func (sr *SpanRecorder) OnEvent(ev serve.Event) {
 	case serve.RequestRejected:
 		tl := sr.timeline(e.Req)
 		tl.Rejected = true
-		tl.Marks = append(tl.Marks, Mark{Name: "rejected", Time: e.Time, Instance: -1, Detail: e.Reason})
+		tl.note(Mark{Name: "rejected", Time: e.Time, Instance: -1, Detail: e.Reason})
 		sr.retire(tl)
 	case serve.RequestMigrated:
 		tl := sr.timeline(e.Req)
 		tl.migrations = append(tl.migrations, migration{from: e.From, to: e.To, depart: e.Depart, arrive: e.Time})
 	case serve.FirstToken:
 		tl := sr.timeline(e.Req)
-		tl.Marks = append(tl.Marks, Mark{Name: "first-token", Time: e.Time, Instance: e.Instance})
+		tl.note(Mark{Name: "first-token", Time: e.Time, Instance: e.Instance})
 	case serve.TokensCommitted:
-		tl := sr.timeline(e.Req)
-		tl.Marks = append(tl.Marks, Mark{Name: "commit", Time: e.Time, Instance: e.Instance, Tokens: e.Tokens})
+		sr.commit(sr.timeline(e.Req), e.Time, e.Tokens, e.Instance)
 	case serve.SLOViolated:
 		tl := sr.timeline(e.Req)
-		tl.Marks = append(tl.Marks, Mark{Name: "slo-" + e.Kind.String(), Time: e.Time, Instance: e.Instance})
+		tl.note(Mark{Name: violationMark(e.Kind), Time: e.Time, Instance: e.Instance})
 	case serve.RequestRetried:
 		tl := sr.timeline(e.Req)
 		tl.Retries++
-		tl.Marks = append(tl.Marks, Mark{
+		tl.note(Mark{
 			Name: "retry", Time: e.Time, Instance: e.Instance,
 			Detail: fmt.Sprintf("attempt %d", e.Attempt),
 		})
 	case serve.RequestHedged:
 		tl := sr.timeline(e.Req)
 		tl.Hedges++
-		tl.Marks = append(tl.Marks, Mark{Name: "hedged", Time: e.Time, Instance: e.Instance})
+		tl.note(Mark{Name: "hedged", Time: e.Time, Instance: e.Instance})
 	case serve.RequestFinished:
 		tl := sr.timeline(e.Req)
 		tl.Finish = e.Req.DoneTime
@@ -161,6 +191,72 @@ func (sr *SpanRecorder) OnEvent(ev serve.Event) {
 		tl.assemble(e.Req, e.Instance)
 		sr.retire(tl)
 	}
+}
+
+// violationMark names the mark for an SLO violation of kind k without
+// building a string for the two kinds the driver emits.
+func violationMark(k serve.ViolationKind) string {
+	switch k {
+	case serve.ViolationTPOT:
+		return "slo-tpot"
+	case serve.ViolationTTFT:
+		return "slo-ttft"
+	default:
+		return "slo-" + k.String()
+	}
+}
+
+// note records a non-commit mark in delivery order.
+func (tl *Timeline) note(m Mark) {
+	tl.notes = append(tl.notes, note{Mark: m, after: tl.commits})
+}
+
+// commit appends one commit mark to the arena and links it onto tl's list.
+func (sr *SpanRecorder) commit(tl *Timeline, t float64, tokens, inst int) {
+	i := sr.n
+	if i&(commitChunk-1) == 0 {
+		sr.arena = append(sr.arena, make([]commitRec, commitChunk))
+	}
+	sr.n++
+	*sr.rec(i) = commitRec{time: t, tokens: int32(tokens), inst: int32(inst), next: -1}
+	if tl.tail >= 0 {
+		sr.rec(tl.tail).next = i
+	} else {
+		tl.head = i
+	}
+	tl.tail = i
+	tl.commits++
+}
+
+// rec returns arena record i.
+func (sr *SpanRecorder) rec(i int) *commitRec {
+	return &sr.arena[i/commitChunk][i%commitChunk]
+}
+
+// materialize builds tl.Marks once, merging the arena's commit marks with
+// the notes in delivery order.
+func (sr *SpanRecorder) materialize(tl *Timeline) {
+	if tl.built {
+		return
+	}
+	tl.built = true
+	if n := tl.commits + len(tl.notes); n > 0 {
+		tl.Marks = make([]Mark, 0, n)
+	}
+	c, seen := tl.head, 0
+	commitsUpTo := func(upto int) {
+		for ; seen < upto; seen++ {
+			r := sr.rec(c)
+			tl.Marks = append(tl.Marks, Mark{Name: "commit", Time: r.time, Instance: int(r.inst), Tokens: int(r.tokens)})
+			c = r.next
+		}
+	}
+	for _, nt := range tl.notes {
+		commitsUpTo(nt.after)
+		tl.Marks = append(tl.Marks, nt.Mark)
+	}
+	commitsUpTo(tl.commits)
+	tl.notes = nil
 }
 
 // retire moves a timeline from the live map to the finished list.
@@ -208,6 +304,9 @@ func (tl *Timeline) assemble(r *request.Request, finishInstance int) {
 // Timelines returns every retired timeline sorted by request ID. Requests
 // still in flight (an aborted run) are not included.
 func (sr *SpanRecorder) Timelines() []*Timeline {
+	for _, tl := range sr.done {
+		sr.materialize(tl)
+	}
 	out := append([]*Timeline(nil), sr.done...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

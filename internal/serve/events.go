@@ -60,7 +60,16 @@ type FirstToken struct {
 
 // TokensCommitted reports output tokens committed for one request by one
 // scheduling iteration. Time is the iteration's end.
-type TokensCommitted struct {
+//
+// It fires once per resident request per iteration, far more often than any
+// other event, so it is pointer-shaped: a one-word struct stored in the
+// Event interface without a heap box. The payload fields live in Commit and
+// read through it as promoted fields (e.Req, e.Tokens, e.Seq, ...). The
+// driver never reuses a Commit, so an observer may keep the event.
+type TokensCommitted struct{ *Commit }
+
+// Commit is the payload of a TokensCommitted event.
+type Commit struct {
 	EventMeta
 	Req      *request.Request
 	Instance int

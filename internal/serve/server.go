@@ -140,7 +140,16 @@ type Server struct {
 	rolling  *metrics.Rolling
 	track    map[int]*reqTrack
 	doneSeen []int
+	// commits is the unused tail of the current TokensCommitted payload
+	// slab; entries are handed out once and never reused.
+	commits []Commit
 }
+
+// commitSlab is the number of TokensCommitted payloads allocated at once.
+// 255 48-byte payloads plus the 8-byte header the Go allocator puts on a
+// pointerful object over 512 bytes fit the 12288-byte size class; 256 would
+// round up to the next class and waste a tenth of every slab.
+const commitSlab = 255
 
 // NewServer validates the backend and bounds and builds a driver.
 func NewServer(backend Backend, opts Options) (*Server, error) {
@@ -464,6 +473,18 @@ func (s *Server) meta(t float64) EventMeta {
 	return m
 }
 
+// newCommit hands out the next unused TokensCommitted payload, starting a
+// fresh slab when the current one is spent. Observers may retain the event,
+// so a payload is never handed out twice.
+func (s *Server) newCommit() *Commit {
+	if len(s.commits) == 0 {
+		s.commits = make([]Commit, commitSlab)
+	}
+	c := &s.commits[0]
+	s.commits = s.commits[1:]
+	return c
+}
+
 // bumpNow advances the driver's processed-time high-water mark, which paces
 // periodic snapshots.
 func (s *Server) bumpNow(t float64) {
@@ -541,7 +562,9 @@ func (s *Server) noteProgress(r *request.Request, st *reqTrack, in *Instance, no
 			}
 			s.emit(FirstToken{EventMeta: s.meta(r.FirstTokenTime), Req: r, Instance: in.id, TTFT: r.TTFT()})
 		}
-		s.emit(TokensCommitted{EventMeta: s.meta(now), Req: r, Instance: in.id, Tokens: n - st.lastLen, Total: n})
+		c := s.newCommit()
+		*c = Commit{EventMeta: s.meta(now), Req: r, Instance: in.id, Tokens: n - st.lastLen, Total: n}
+		s.emit(TokensCommitted{c})
 		st.lastLen = n
 	} else {
 		s.checkTTFTDeadline(r, in, now)
