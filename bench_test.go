@@ -18,6 +18,7 @@ import (
 	"adaserve/internal/engine"
 	"adaserve/internal/experiments"
 	"adaserve/internal/gpu"
+	"adaserve/internal/kvcache"
 	"adaserve/internal/lm"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
@@ -311,6 +312,54 @@ func BenchmarkCostModel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = cm.ForwardLatencyPure(shape)
+	}
+}
+
+// BenchmarkPrefixAdmit measures the prefix cache's per-request path on
+// session-shaped prompts: AllocateWithPrefix, MarkComputed and Free over the
+// block chains of 8 tenants' conversations, each a shared 512-token system
+// prompt plus a history that grows every turn, admitted turn by turn. The
+// GPU pool holds about a third of the working set and the host tier another
+// third, so admissions evict, demote, reload and drop entries.
+func BenchmarkPrefixAdmit(b *testing.B) {
+	const bs, tenants, turns = 16, 8, 8
+	rng := mathutil.NewRNG(11)
+	var chains [][]uint64
+	var lens []int
+	hist := make([][]request.PromptSegment, tenants)
+	for t := range hist {
+		hist[t] = []request.PromptSegment{{Seed: uint64(t), Len: 512}}
+	}
+	for turn := 0; turn < turns; turn++ {
+		for t := range hist {
+			segs := append(hist[t][:len(hist[t]):len(hist[t])],
+				request.PromptSegment{Seed: rng.Uint64(), Len: 64 + rng.Intn(192)})
+			n := 0
+			for _, seg := range segs {
+				n += seg.Len
+			}
+			r := request.New(len(lens), request.Chat, 0.05, 0, n, 1, rng.Uint64())
+			r.PromptSegs = segs
+			chains = append(chains, r.BlockChain(bs))
+			lens = append(lens, n)
+			hist[t] = append(segs, request.PromptSegment{Seed: rng.Uint64(), Len: 64 + rng.Intn(192)})
+		}
+	}
+	kv := kvcache.MustNew(kvcache.Config{BlockSize: bs, NumBlocks: 512})
+	if err := kv.EnablePrefix(kvcache.PrefixConfig{HostBlocks: 512}); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(chains)
+		n := lens[k]
+		if _, err := kv.AllocateWithPrefix(i, n, chains[k], n-1); err != nil {
+			b.Fatal(err)
+		}
+		kv.MarkComputed(i, n)
+		if err := kv.Free(i); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

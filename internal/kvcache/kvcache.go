@@ -4,14 +4,10 @@
 //
 // Tokens are stored in fixed-size blocks; a sequence owns a block table.
 // The allocator tracks capacity so the simulator can enforce admission
-// control and measure fragmentation (the internal waste of partially filled
-// last blocks).
+// control.
 package kvcache
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Config sizes the allocator.
 type Config struct {
@@ -42,17 +38,19 @@ func ConfigForTokens(capacityTokens, blockSize int) Config {
 	return Config{BlockSize: blockSize, NumBlocks: blocks}
 }
 
-// seq tracks one sequence's allocation. With prefix caching enabled, hashes
-// runs parallel to blocks over the prompt's full blocks: a non-zero entry is
-// the fingerprint of a registry-backed (shared or shareable) block, 0 marks a
-// private block. hashes is always at most as long as blocks and empty when
-// prefix caching is off. marked is MarkComputed's watermark: hashes[:marked]
-// are known computed (or private), so each block is marked once.
+// seq tracks one sequence's allocation. With prefix caching enabled, entries
+// runs parallel to blocks over the prompt's full blocks: a non-nil entry is
+// the fingerprint-table entry of a registry-backed (shared or shareable)
+// block, nil marks a private block. Holding the entry itself means release,
+// copy-on-write and MarkComputed never look a fingerprint up. entries is
+// always at most as long as blocks and empty when prefix caching is off.
+// marked is MarkComputed's watermark: entries[:marked] are known computed (or
+// private), so each block is marked once.
 type seq struct {
-	blocks []int
-	tokens int
-	hashes []uint64
-	marked int
+	blocks  []int
+	tokens  int
+	entries []*shared
+	marked  int
 }
 
 // Allocator manages the block pool. It is not safe for concurrent use; the
@@ -150,7 +148,7 @@ func (a *Allocator) Extend(seqID, n int) error {
 	// sees, so the sequence must take a private copy of that block first.
 	cow := -1
 	if n > 0 && s.tokens%a.cfg.BlockSize != 0 {
-		if i := len(s.blocks) - 1; i >= 0 && i < len(s.hashes) && s.hashes[i] != 0 {
+		if i := len(s.blocks) - 1; i >= 0 && i < len(s.entries) && s.entries[i] != nil {
 			cow = i
 		}
 	}
@@ -165,9 +163,9 @@ func (a *Allocator) Extend(seqID, n int) error {
 	}
 	if cow >= 0 {
 		id, _ := a.popAvailable()
-		a.release(s.hashes[cow])
+		a.release(s.entries[cow])
 		s.blocks[cow] = id
-		s.hashes[cow] = 0
+		s.entries[cow] = nil
 	}
 	for i := 0; i < need; i++ {
 		id, _ := a.popAvailable()
@@ -194,20 +192,20 @@ func (a *Allocator) Shrink(seqID, n int) error {
 		i := len(s.blocks) - 1
 		last := s.blocks[i]
 		s.blocks = s.blocks[:i]
-		var h uint64
-		if i < len(s.hashes) {
-			h = s.hashes[i]
-			s.hashes = s.hashes[:i]
+		var e *shared
+		if i < len(s.entries) {
+			e = s.entries[i]
+			s.entries = s.entries[:i]
 		}
-		if h != 0 {
-			a.release(h)
+		if e != nil {
+			a.release(e)
 		} else {
 			a.free = append(a.free, last)
 		}
 	}
 	// Blocks below the watermark that survive keep their entries (a held
 	// entry is never deleted or un-computed), so only the length can shrink.
-	s.marked = min(s.marked, len(s.hashes))
+	s.marked = min(s.marked, len(s.entries))
 	return nil
 }
 
@@ -217,12 +215,12 @@ func (a *Allocator) Free(seqID int) error {
 	if !ok {
 		return fmt.Errorf("kvcache: sequence %d not allocated", seqID)
 	}
-	if len(s.hashes) == 0 {
+	if len(s.entries) == 0 {
 		a.free = append(a.free, s.blocks...)
 	} else {
 		for i, b := range s.blocks {
-			if i < len(s.hashes) && s.hashes[i] != 0 {
-				a.release(s.hashes[i])
+			if i < len(s.entries) && s.entries[i] != nil {
+				a.release(s.entries[i])
 			} else {
 				a.free = append(a.free, b)
 			}
@@ -267,16 +265,6 @@ func (a *Allocator) TotalTokens() int {
 	return t
 }
 
-// InternalFragmentation returns the fraction of allocated block capacity
-// that holds no token (waste inside partially filled last blocks).
-func (a *Allocator) InternalFragmentation() float64 {
-	used := a.UsedBlocks() * a.cfg.BlockSize
-	if used == 0 {
-		return 0
-	}
-	return float64(used-a.TotalTokens()) / float64(used)
-}
-
 // BlockTable returns a copy of the block IDs owned by a sequence, in order.
 func (a *Allocator) BlockTable(seqID int) []int {
 	s, ok := a.seqs[seqID]
@@ -286,16 +274,6 @@ func (a *Allocator) BlockTable(seqID int) []int {
 	out := make([]int, len(s.blocks))
 	copy(out, s.blocks)
 	return out
-}
-
-// SeqIDs returns the registered sequence IDs in ascending order.
-func (a *Allocator) SeqIDs() []int {
-	ids := make([]int, 0, len(a.seqs))
-	for id := range a.seqs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // pop takes a free block: the most recently recycled one, else the lowest

@@ -74,7 +74,8 @@ type PrefixHit struct {
 // block of some prompt's KV, shared by refs sequences. refs == 0 means cold:
 // GPU-resident on the cold LRU (matchable, reclaimable) or demoted to the
 // host tier (matchable via reload). The prev/next links thread the entry
-// into whichever LRU list currently owns it.
+// into whichever LRU list currently owns it; a dropped entry waits for reuse
+// on the allocator's spare list, threaded through next.
 type shared struct {
 	hash       uint64
 	id         int
@@ -124,6 +125,11 @@ func (l *lruList) popFront() *shared {
 	return e
 }
 
+// entryChunk is the number of entries carved from one allocation. 127 × 48 B
+// plus the 8-byte header the Go allocator puts on pointerful objects over
+// 512 B fills the 6144 B size class exactly; 128 would round up to 6528 B.
+const entryChunk = 127
+
 // prefixState is the allocator's prefix-cache side table.
 type prefixState struct {
 	cfg   PrefixConfig
@@ -134,6 +140,38 @@ type prefixState struct {
 	// matched is AllocateWithPrefix's scratch list of matched entries,
 	// reused across calls so failed admission retries allocate nothing.
 	matched []*shared
+	// spare lists dropped entries for reuse (linked through next) and chunk
+	// holds the uncarved rest of the newest chunk. Sequences hold entry
+	// pointers, so a dropped entry cannot be left to the collector while
+	// its chunk lives on; recycling keeps entry memory O(live entries).
+	spare *shared
+	chunk []shared
+}
+
+// newEntry registers a fresh entry for fingerprint h on GPU block id, held
+// by one sequence: a recycled entry if any, else one carved from a chunk.
+func (p *prefixState) newEntry(h uint64, id int) *shared {
+	e := p.spare
+	if e != nil {
+		p.spare = e.next
+	} else {
+		if len(p.chunk) == 0 {
+			p.chunk = make([]shared, entryChunk)
+		}
+		e = &p.chunk[0]
+		p.chunk = p.chunk[1:]
+	}
+	*e = shared{hash: h, id: id, refs: 1}
+	p.table[h] = e
+	return e
+}
+
+// drop deletes an entry from the table and recycles it. The caller has
+// already taken it off any LRU list, and no sequence holds it.
+func (p *prefixState) drop(e *shared) {
+	delete(p.table, e.hash)
+	*e = shared{next: p.spare}
+	p.spare = e
 }
 
 // prefixChainSeed anchors the block fingerprint chain.
@@ -144,8 +182,7 @@ const prefixChainSeed uint64 = 0x70726566697843 // "prefixC"
 // the block length and the block's seeds mixed into the previous block's
 // fingerprint. No per-token slice is ever built. Seeds of a trailing partial
 // block are absorbed but never fingerprinted: only full blocks are
-// shareable. A fingerprint is never 0, which seq.hashes reserves as the
-// "private block" sentinel.
+// shareable. A fingerprint is never 0.
 //
 // The chain is a pure function of the seeds and the block size, so callers
 // compute it once per prompt and pass it (or a prefix of it) to MatchPrefix,
@@ -166,6 +203,21 @@ func NewChainHasher(blockSize, tokens int) ChainHasher {
 		h:     mathutil.Hash2(prefixChainSeed, uint64(blockSize)),
 		chain: make([]uint64, 0, tokens/blockSize),
 	}
+}
+
+// ResumeChainHasher starts a chain over blocks of blockSize tokens whose
+// first len(prefix) fingerprints are prefix, with room for the full blocks of
+// a tokens-token prompt: the hasher is in exactly the state NewChainHasher
+// reaches after absorbing the seeds prefix was hashed from, so a prompt that
+// continues another one only hashes the seeds past the shared full blocks.
+// prefix is copied, never retained; an empty prefix is NewChainHasher.
+func ResumeChainHasher(blockSize, tokens int, prefix []uint64) ChainHasher {
+	c := NewChainHasher(blockSize, tokens)
+	if n := len(prefix); n > 0 {
+		c.chain = append(c.chain, prefix...)
+		c.h = mathutil.Hash2(prefix[n-1], uint64(blockSize))
+	}
+	return c
 }
 
 // Add absorbs the next token seed, closing the current block when it fills.
@@ -260,12 +312,11 @@ func (a *Allocator) popAvailable() (int, bool) {
 		e.id = -1
 		p.host.pushBack(e)
 		if p.host.n > p.cfg.HostBlocks {
-			v := p.host.popFront()
-			delete(p.table, v.hash)
+			p.drop(p.host.popFront())
 			p.stats.HostEvictions++
 		}
 	} else {
-		delete(p.table, e.hash)
+		p.drop(e)
 	}
 	return id, true
 }
@@ -283,22 +334,20 @@ func (a *Allocator) acquire(e *shared) {
 // of a computed block parks it on the cold LRU (still matchable, reclaimed
 // only under pressure); a block whose prefill never completed is worthless
 // as a cache entry and returns straight to the free list.
-func (a *Allocator) release(h uint64) {
-	p := a.prefix
-	e := p.table[h]
-	if e == nil || e.refs <= 0 || e.onHost {
-		panic(fmt.Sprintf("kvcache: release of unowned shared block (hash %#x)", h))
+func (a *Allocator) release(e *shared) {
+	if e.refs <= 0 || e.onHost {
+		panic(fmt.Sprintf("kvcache: release of unowned shared block (hash %#x)", e.hash))
 	}
 	e.refs--
 	if e.refs > 0 {
 		return
 	}
 	if !e.computed {
-		delete(p.table, h)
 		a.free = append(a.free, e.id)
+		a.prefix.drop(e)
 		return
 	}
-	p.cold.pushBack(e)
+	a.prefix.cold.pushBack(e)
 }
 
 // matchedBlocks counts the leading chain entries whose blocks are cached and
@@ -419,8 +468,8 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, chain []uint64, matchL
 	// past them.
 	s := &seq{tokens: tokens, marked: len(matched)}
 	s.blocks = make([]int, 0, totalBlocks)
-	s.hashes = make([]uint64, len(matched), regBlocks)
-	copy(s.hashes, chain)
+	s.entries = make([]*shared, len(matched), regBlocks)
+	copy(s.entries, matched)
 	for _, e := range matched {
 		if e.onHost {
 			s.blocks = append(s.blocks, -1) // reload slot, filled below
@@ -467,13 +516,11 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, chain []uint64, matchL
 	// The fingerprint chain continues across blocks whose hash is already
 	// claimed (content is content); such blocks simply stay private here.
 	for b := len(matched); b < regBlocks; b++ {
-		h := chain[b]
-		if p.table[h] == nil {
-			p.table[h] = &shared{hash: h, id: s.blocks[b], refs: 1}
-			s.hashes = append(s.hashes, h)
-		} else {
-			s.hashes = append(s.hashes, 0)
+		var e *shared
+		if h := chain[b]; p.table[h] == nil {
+			e = p.newEntry(h, s.blocks[b])
 		}
+		s.entries = append(s.entries, e)
 	}
 
 	a.seqs[seqID] = s
@@ -500,20 +547,21 @@ func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 	if !ok {
 		return
 	}
-	full := min(doneTokens/a.cfg.BlockSize, len(s.hashes))
+	full := min(doneTokens/a.cfg.BlockSize, len(s.entries))
 	for ; s.marked < full; s.marked++ {
-		if h := s.hashes[s.marked]; h != 0 {
-			a.prefix.table[h].computed = true
+		if e := s.entries[s.marked]; e != nil {
+			e.computed = true
 		}
 	}
 }
 
 // CheckInvariants verifies the allocator's full accounting: every block is
 // exactly one of free, privately owned by one sequence, or registry-backed
-// with a reference count equal to the sequences actually holding it; cold and
-// host LRU lists agree with entry states; and the host tier respects its
-// bound. Tests call it after every mutation step; it is read-only and
-// order-independent.
+// with a reference count equal to the sequences actually holding it; every
+// entry a sequence holds is the table's entry for its fingerprint; cold and
+// host LRU lists agree with entry states; no recycled entry is still in the
+// table; and the host tier respects its bound. Tests call it after every
+// mutation step; it is read-only and order-independent.
 func (a *Allocator) CheckInvariants() error {
 	claim := make(map[int]string, a.cfg.NumBlocks)
 	take := func(id int, who string) error {
@@ -540,36 +588,33 @@ func (a *Allocator) CheckInvariants() error {
 		}
 	}
 
-	refCount := make(map[uint64]int)
+	refCount := make(map[*shared]int)
 	for seqID, s := range a.seqs {
 		if len(s.blocks) != a.blocksFor(s.tokens) {
 			return fmt.Errorf("kvcache: seq %d holds %d blocks for %d tokens", seqID, len(s.blocks), s.tokens)
 		}
-		if len(s.hashes) > len(s.blocks) {
-			return fmt.Errorf("kvcache: seq %d has %d hashes for %d blocks", seqID, len(s.hashes), len(s.blocks))
+		if len(s.entries) > len(s.blocks) {
+			return fmt.Errorf("kvcache: seq %d has %d entries for %d blocks", seqID, len(s.entries), len(s.blocks))
 		}
-		if s.marked < 0 || s.marked > len(s.hashes) {
-			return fmt.Errorf("kvcache: seq %d watermark %d outside its %d hashes", seqID, s.marked, len(s.hashes))
-		}
-		for i, h := range s.hashes[:s.marked] {
-			if h != 0 && (a.prefix.table[h] == nil || !a.prefix.table[h].computed) {
-				return fmt.Errorf("kvcache: seq %d block %d below watermark %d is not computed", seqID, i, s.marked)
-			}
+		if s.marked < 0 || s.marked > len(s.entries) {
+			return fmt.Errorf("kvcache: seq %d watermark %d outside its %d entries", seqID, s.marked, len(s.entries))
 		}
 		for i, id := range s.blocks {
-			if i < len(s.hashes) && s.hashes[i] != 0 {
-				h := s.hashes[i]
-				e := a.prefix.table[h]
-				if e == nil {
-					return fmt.Errorf("kvcache: seq %d block %d references unregistered hash %#x", seqID, i, h)
+			if i < len(s.entries) && s.entries[i] != nil {
+				e := s.entries[i]
+				if a.prefix.table[e.hash] != e {
+					return fmt.Errorf("kvcache: seq %d block %d holds an entry (hash %#x) the table does not", seqID, i, e.hash)
 				}
 				if e.onHost {
-					return fmt.Errorf("kvcache: seq %d block %d references host-resident hash %#x", seqID, i, h)
+					return fmt.Errorf("kvcache: seq %d block %d references host-resident hash %#x", seqID, i, e.hash)
 				}
 				if e.id != id {
-					return fmt.Errorf("kvcache: seq %d block %d is %d but entry %#x holds %d", seqID, i, id, h, e.id)
+					return fmt.Errorf("kvcache: seq %d block %d is %d but entry %#x holds %d", seqID, i, id, e.hash, e.id)
 				}
-				refCount[h]++
+				if i < s.marked && !e.computed {
+					return fmt.Errorf("kvcache: seq %d block %d below watermark %d is not computed", seqID, i, s.marked)
+				}
+				refCount[e]++
 				continue
 			}
 			if err := take(id, fmt.Sprintf("seq %d", seqID)); err != nil {
@@ -597,9 +642,19 @@ func (a *Allocator) CheckInvariants() error {
 		if p.cfg.HostBlocks > 0 && p.host.n > p.cfg.HostBlocks {
 			return fmt.Errorf("kvcache: host tier holds %d > cap %d", p.host.n, p.cfg.HostBlocks)
 		}
+		spare := make(map[*shared]bool)
+		for e := p.spare; e != nil; e = e.next {
+			if spare[e] {
+				return fmt.Errorf("kvcache: spare entry list loops")
+			}
+			spare[e] = true
+		}
 		for h, e := range p.table {
 			if e.hash != h {
 				return fmt.Errorf("kvcache: entry keyed %#x carries hash %#x", h, e.hash)
+			}
+			if spare[e] {
+				return fmt.Errorf("kvcache: entry %#x is in the table and on the spare list", h)
 			}
 			if e.onHost {
 				if e.refs != 0 || !inHost[e] {
@@ -607,8 +662,8 @@ func (a *Allocator) CheckInvariants() error {
 				}
 				continue
 			}
-			if e.refs != refCount[h] {
-				return fmt.Errorf("kvcache: entry %#x refs=%d but %d sequences hold it", h, e.refs, refCount[h])
+			if e.refs != refCount[e] {
+				return fmt.Errorf("kvcache: entry %#x refs=%d but %d sequences hold it", h, e.refs, refCount[e])
 			}
 			if (e.refs == 0) != inCold[e] {
 				return fmt.Errorf("kvcache: entry %#x refs=%d inCold=%v", h, e.refs, inCold[e])

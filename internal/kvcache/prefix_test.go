@@ -1,8 +1,10 @@
 package kvcache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"adaserve/internal/mathutil"
 )
@@ -32,11 +34,11 @@ func prompt(doc uint64, n int) []uint64 {
 // computed — and reports whether that set any flag still unset.
 func rescanMarks(a *Allocator, seqID, doneTokens int) bool {
 	changed := false
-	for i, h := range a.seqs[seqID].hashes {
+	for i, e := range a.seqs[seqID].entries {
 		if (i+1)*a.cfg.BlockSize > doneTokens {
 			break
 		}
-		if e := a.prefix.table[h]; h != 0 && !e.computed {
+		if e != nil && !e.computed {
 			e.computed = true
 			changed = true
 		}
@@ -549,4 +551,91 @@ func TestMarkComputedAllocatesNothing(t *testing.T) {
 		t.Fatalf("MarkComputed allocates %.1f times, want 0", allocs)
 	}
 	check(t, a)
+}
+
+// cycleAllocs measures one admit/compute/free cycle of a blocks-block prompt
+// on an allocator whose GPU pool holds two such prompts and whose host tier
+// holds hostPrompts of them: every cycle's prompt is new, so each admission
+// evicts the previous prompts' cold blocks, and with a host tier each
+// demotion overflows it. Warm-up fills the pool, the tier and the table.
+func cycleAllocs(t *testing.T, blocks, hostPrompts int) float64 {
+	const bs = 4
+	a := newPrefixAlloc(t, bs, 2*blocks, PrefixConfig{HostBlocks: hostPrompts * blocks})
+	tokens := blocks * bs
+	chain := make([]uint64, blocks)
+	doc := uint64(0)
+	cycle := func() {
+		doc++
+		for i := range chain {
+			chain[i] = mathutil.Hash2(doc, uint64(i)) | 1
+		}
+		if _, err := a.AllocateWithPrefix(1, tokens, chain, tokens); err != nil {
+			t.Fatal(err)
+		}
+		a.MarkComputed(1, tokens)
+		if err := a.Free(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*(hostPrompts+2); i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	check(t, a)
+	if a.PrefixStats().Evictions == 0 || (hostPrompts > 0 && a.PrefixStats().HostEvictions == 0) {
+		t.Fatalf("stats %+v: the cycle must evict (and overflow the host tier)", a.PrefixStats())
+	}
+	return allocs
+}
+
+// TestPrefixCycleAllocationsConstant gates entry recycling: once warm, an
+// admit/compute/free cycle over a new prompt allocates the same few objects
+// (the sequence and its two tables) whatever the prompt's block count, with
+// no host tier (every eviction drops entries) and with one that overflows.
+// Entries that were not recycled would cost a chunk every entryChunk blocks.
+func TestPrefixCycleAllocationsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	for _, host := range []int{0, 3} {
+		small, large := cycleAllocs(t, 64, host), cycleAllocs(t, 4*entryChunk, host)
+		if small != large || large > 3 {
+			t.Errorf("host tier of %d prompts: a cycle allocates %.0f times at 64 blocks and %.0f at %d, want equal and at most 3",
+				host, small, large, 4*entryChunk)
+		}
+	}
+}
+
+// TestCheckInvariantsFlagsRecycledEntries corrupts the entry free list two
+// ways CheckInvariants must catch: a sequence still holding an entry that
+// was recycled, and a recycled entry that is still in the table.
+func TestCheckInvariantsFlagsRecycledEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(p *prefixState, e *shared)
+	}{
+		{"held entry recycled", "the table does not", func(p *prefixState, e *shared) { p.drop(e) }},
+		{"spare entry in table", "on the spare list", func(p *prefixState, e *shared) {
+			e.next, p.spare = p.spare, e
+		}},
+	} {
+		a := newPrefixAlloc(t, 4, 8, PrefixConfig{})
+		if _, err := a.AllocateWithPrefix(1, 12, prompt(1, 12), 12); err != nil {
+			t.Fatal(err)
+		}
+		check(t, a)
+		tc.corrupt(a.prefix, a.seqs[1].entries[1])
+		err := a.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestEntryChunkFitsSizeClass keeps an entry chunk, plus the allocator's
+// 8-byte header for pointerful objects, inside the 6144 B size class.
+func TestEntryChunkFitsSizeClass(t *testing.T) {
+	if n := entryChunk*unsafe.Sizeof(shared{}) + 8; n > 6144 {
+		t.Fatalf("a %d-entry chunk takes %d B, past the 6144 B size class", entryChunk, n)
+	}
 }

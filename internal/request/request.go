@@ -168,6 +168,9 @@ type Request struct {
 	// chain memoizes BlockChain for block size chainBS (0: not computed).
 	chain   []uint64
 	chainBS int
+	// parent is the finished request whose prompt this one continues (see
+	// ContinueFrom), held only until the first BlockChain call.
+	parent *Request
 }
 
 // PromptSegment is a run of prompt tokens with stable content identity: the
@@ -189,17 +192,22 @@ type PromptSegment struct {
 // request-private content rather than aliasing another request's.
 //
 // The chain is a pure function of PromptSegs, PromptLen, Seed and bs: it is
-// computed on first use and memoized for that block size. Callers must not
-// modify it.
+// computed on first use and memoized for that block size. A request linked
+// by ContinueFrom resumes from its parent's memoized chain when that chain
+// is for bs and covers only segments the two share, hashing just the tokens
+// after it. Callers must not modify the chain.
 func (r *Request) BlockChain(bs int) []uint64 {
 	if r.chainBS == bs {
 		return r.chain
 	}
-	c := kvcache.NewChainHasher(bs, r.PromptLen)
 	n := r.PromptLen / bs * bs // seeds past the last full block never hash
-	fed := 0
+	c := kvcache.ResumeChainHasher(bs, r.PromptLen, r.resumable(bs, n))
+	r.parent = nil
+	fed, start := len(c.Chain())*bs, 0
 	for _, seg := range r.PromptSegs {
-		for i := 0; i < seg.Len && fed < n; i++ {
+		i := max(fed-start, 0)
+		start += seg.Len
+		for ; i < seg.Len && fed < n; i++ {
 			c.Add(mathutil.Hash2(seg.Seed, uint64(i)))
 			fed++
 		}
@@ -211,6 +219,43 @@ func (r *Request) BlockChain(bs int) []uint64 {
 	}
 	r.chain, r.chainBS = c.Chain(), bs
 	return r.chain
+}
+
+// resumable returns the parent's memoized chain when r's BlockChain(bs) may
+// start from it: the memo is for bs, it covers no more than r's first n
+// tokens, and every token it hashed lies in parent segments that r's
+// PromptSegs repeat position by position. The check is O(segments). nil
+// means hash from scratch.
+func (r *Request) resumable(bs, n int) []uint64 {
+	p := r.parent
+	if p == nil || p.chainBS != bs || len(p.PromptSegs) > len(r.PromptSegs) {
+		return nil
+	}
+	covered := 0
+	for i, seg := range p.PromptSegs {
+		if r.PromptSegs[i] != seg {
+			return nil
+		}
+		covered += seg.Len
+	}
+	if hashed := len(p.chain) * bs; hashed > covered || hashed > n {
+		return nil
+	}
+	return p.chain
+}
+
+// ContinueFrom records that r's prompt continues parent's, a finished
+// request whose segments r's PromptSegs extend (a session's next turn), so
+// r's first BlockChain call can extend parent's memoized chain instead of
+// rehashing the shared history. It is only a hint: BlockChain checks the
+// segments itself and falls back to hashing from scratch. parent's own link
+// is dropped, and r's is dropped on first use, so no chain of requests is
+// kept alive. A parent with no memoized chain is not linked.
+func (r *Request) ContinueFrom(parent *Request) {
+	parent.parent = nil
+	if parent.chainBS != 0 {
+		r.parent = parent
+	}
 }
 
 // New constructs a queued request with the mandatory fields set and
@@ -229,8 +274,9 @@ func New(id int, cat Category, slo float64, arrival float64, promptLen, maxNew i
 // Clone returns a fresh Queued copy of the request's immutable trace fields
 // (identity, SLO, arrival, lengths, seed) with lifecycle state reset, so the
 // same trace can be replayed through multiple configurations without
-// sharing mutable state. The BlockChain memo is not copied: the copy
-// recomputes its own, so clones replayed concurrently never share a write.
+// sharing mutable state. The BlockChain memo and the ContinueFrom link are
+// not copied: the copy computes its own chain from scratch, so clones
+// replayed concurrently never share a write.
 func (r *Request) Clone() *Request {
 	cp := New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
 	cp.TTFTSLO = r.TTFTSLO

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"adaserve/internal/lm"
 	"adaserve/internal/mathutil"
@@ -339,5 +340,144 @@ func TestBlockChainSegments(t *testing.T) {
 	cc, cd := c.BlockChain(4), d.BlockChain(4)
 	if cc[0] != cd[0] || cc[1] == cd[1] {
 		t.Fatalf("padding aliased across requests: %v vs %v", cc, cd)
+	}
+}
+
+// randomSegs appends segments totalling n tokens, each 1..max long, with
+// seeds from a small alphabet so unrelated decompositions still collide on
+// some seeds.
+func randomSegs(rng *mathutil.RNG, segs []PromptSegment, n, max int) []PromptSegment {
+	for n > 0 {
+		l := 1 + rng.Intn(min(n, max))
+		segs = append(segs, PromptSegment{Seed: uint64(rng.Intn(5)), Len: l})
+		n -= l
+	}
+	return segs
+}
+
+// continuation builds a request whose prompt is parent's segments followed
+// by extra more tokens of fresh segments: a session's next turn.
+func continuation(rng *mathutil.RNG, id int, parent *Request, extra int) *Request {
+	segs := append([]PromptSegment(nil), parent.PromptSegs...)
+	segs = randomSegs(rng, segs, extra, 9)
+	n := 0
+	for _, seg := range segs {
+		n += seg.Len
+	}
+	r := New(id, Chat, 0.05, 0, n, 4, rng.Uint64())
+	r.PromptSegs = segs
+	return r
+}
+
+// TestBlockChainResumesParent checks chain resume against hashing from
+// scratch: over random segment decompositions and block sizes, a request
+// linked to its parent by ContinueFrom has exactly the chain a fresh Clone
+// computes, whether it resumed or fell back. The named cases pin which of
+// the two happens: a parent ending in a partial block and a parent shorter
+// than one block resume; a parent memoized at another block size, one whose
+// segments the child does not repeat, and one padded past its segments fall
+// back. The link is gone after the first BlockChain call.
+func TestBlockChainResumesParent(t *testing.T) {
+	rng := mathutil.NewRNG(17)
+	for trial := 0; trial < 400; trial++ {
+		bs := []int{1, 3, 4, 16}[trial%4]
+		parentLen := 1 + rng.Intn(60)
+		parent := New(trial, Chat, 0.05, 0, parentLen, 4, rng.Uint64())
+		parent.PromptSegs = randomSegs(rng, nil, parentLen, 12)
+		parent.BlockChain(bs)
+		child := continuation(rng, trial+1000, parent, rng.Intn(40))
+		child.ContinueFrom(parent)
+		if child.resumable(bs, child.PromptLen/bs*bs) == nil {
+			t.Fatalf("trial %d: a child of a parent memoized at its block size did not resume", trial)
+		}
+		want := child.Clone().BlockChain(bs)
+		if got := child.BlockChain(bs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d bs %d: resumed chain %v, from scratch %v", trial, bs, got, want)
+		}
+		if child.parent != nil {
+			t.Fatalf("trial %d: the parent link outlived its use", trial)
+		}
+	}
+
+	newParent := func(n int) *Request {
+		p := New(1, Chat, 0.05, 0, n, 4, 99)
+		p.PromptSegs = randomSegs(rng, nil, n, 5)
+		return p
+	}
+	cases := []struct {
+		name   string
+		build  func() (parent, child *Request)
+		resume bool
+	}{
+		{"partial trailing block", func() (*Request, *Request) {
+			p := newParent(4*5 + 3)
+			p.BlockChain(4)
+			return p, continuation(rng, 2, p, 30)
+		}, true},
+		{"shorter than one block", func() (*Request, *Request) {
+			p := newParent(3)
+			p.BlockChain(4)
+			return p, continuation(rng, 2, p, 30)
+		}, true},
+		{"memo at another block size", func() (*Request, *Request) {
+			p := newParent(40)
+			p.BlockChain(8)
+			return p, continuation(rng, 2, p, 30)
+		}, false},
+		{"segments not a prefix", func() (*Request, *Request) {
+			p := newParent(40)
+			p.BlockChain(4)
+			c := continuation(rng, 2, p, 30)
+			c.PromptSegs[1].Seed++
+			return p, c
+		}, false},
+		{"parent padded past its segments", func() (*Request, *Request) {
+			p := newParent(40)
+			c := continuation(rng, 2, p, 30)
+			p.PromptLen += 8 // its last two blocks hash request-private padding
+			p.BlockChain(4)
+			return p, c
+		}, false},
+	}
+	for _, tc := range cases {
+		parent, child := tc.build()
+		child.ContinueFrom(parent)
+		if got := child.resumable(4, child.PromptLen/4*4) != nil; got != tc.resume {
+			t.Errorf("%s: resumes %v, want %v", tc.name, got, tc.resume)
+		}
+		want := child.Clone().BlockChain(4)
+		if got := child.BlockChain(4); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: chain %v, from scratch %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestContinueFromKeepsNoChain checks the link's lifetime: a parent without
+// a memoized chain is not linked, and linking a child drops the parent's own
+// link, so a session's turns never form a chain that keeps old turns alive.
+func TestContinueFromKeepsNoChain(t *testing.T) {
+	a := New(1, Chat, 0.05, 0, 8, 4, 1)
+	b := New(2, Chat, 0.05, 0, 8, 4, 2)
+	b.ContinueFrom(a)
+	if b.parent != nil {
+		t.Fatal("linked to a parent with no memoized chain")
+	}
+	a.BlockChain(4)
+	b.BlockChain(4)
+	b.ContinueFrom(a) // a link that outlives b's own chain
+	if b.parent != a {
+		t.Fatal("not linked to a parent with a memoized chain")
+	}
+	c := New(3, Chat, 0.05, 0, 8, 4, 3)
+	c.ContinueFrom(b)
+	if c.parent != b || b.parent != nil {
+		t.Fatalf("links after ContinueFrom: c→%p b→%p, want c→b and b→nil", c.parent, b.parent)
+	}
+}
+
+// TestRequestSizeClass keeps Request in the 320-byte allocation size class.
+func TestRequestSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n > 320 {
+		t.Fatalf("Request is %d bytes, past the 320-byte size class", n)
 	}
 }

@@ -192,7 +192,8 @@ func (ss *Sessions) InitialRequests() []*request.Request {
 // budget spent, context window full, or r was not an outstanding session
 // turn). The finished turn's user segment and the assistant's actual reply
 // length extend the conversation, so the next prompt is a strict
-// continuation of everything the KV cache just computed.
+// continuation of everything the KV cache just computed; the next turn is
+// linked to r (request.ContinueFrom) so its block chain extends r's.
 func (ss *Sessions) FollowUp(r *request.Request, now float64) *request.Request {
 	s, ok := ss.open[r.ID]
 	if !ok {
@@ -214,7 +215,11 @@ func (ss *Sessions) FollowUp(r *request.Request, now float64) *request.Request {
 	if s.turn >= ss.cfg.Turns {
 		return nil
 	}
-	return ss.makeTurn(s, now+ss.cfg.ThinkTime)
+	next := ss.makeTurn(s, now+ss.cfg.ThinkTime)
+	if next != nil {
+		next.ContinueFrom(r)
+	}
+	return next
 }
 
 // Issued returns the number of turn requests generated so far; Outstanding

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"adaserve/internal/lm"
@@ -231,6 +232,39 @@ func TestSessionsDeterministicAcrossFinishOrder(t *testing.T) {
 				t.Fatalf("tenant %d turn %d differs across finish orders: %+v vs %+v",
 					tenant, i, turns[i], got[i])
 			}
+		}
+	}
+}
+
+// TestFollowUpChainsMatchClones drives whole session runs the way a prefix
+// cache sees them: each turn's block chain is computed before it finishes,
+// and each follow-up turn, linked to its parent by FollowUp, must carry
+// exactly the chain a fresh Clone computes from scratch. Block sizes that do
+// and do not divide the segment lengths cover resumes that start mid-segment
+// and parents that end in a partial block; some turns reply with nothing.
+func TestFollowUpChainsMatchClones(t *testing.T) {
+	for _, bs := range []int{1, 7, 16} {
+		cfg := sessionConfig()
+		cfg.Tenants, cfg.Turns = 4, 6
+		ss := MustSessions(cfg)
+		queue := ss.InitialRequests()
+		followUps := 0
+		for i := 0; len(queue) > 0; i++ {
+			r := queue[0]
+			queue = queue[1:]
+			got := r.BlockChain(bs)
+			if want := r.Clone().BlockChain(bs); !slices.Equal(got, want) {
+				t.Fatalf("bs %d request %d: its %d-block chain differs from its clone's %d-block chain",
+					bs, r.ID, len(got), len(want))
+			}
+			finishTurn(r, (i*37)%90)
+			if next := ss.FollowUp(r, float64(i)); next != nil {
+				queue = append(queue, next)
+				followUps++
+			}
+		}
+		if followUps != cfg.Tenants*(cfg.Turns-1) {
+			t.Fatalf("bs %d: %d follow-up turns, want %d", bs, followUps, cfg.Tenants*(cfg.Turns-1))
 		}
 	}
 }

@@ -20,13 +20,13 @@ date_stamp=${BENCH_DATE:-$(date +%F)}
 out="bench/BENCH_${date_stamp}.json"
 mkdir -p bench
 
-micro='BenchmarkLMDist$|BenchmarkBeamSearch$|BenchmarkSelect$|BenchmarkVerifyTree$|BenchmarkCostModel$|BenchmarkEngineIteration$'
+micro='BenchmarkLMDist$|BenchmarkBeamSearch$|BenchmarkSelect$|BenchmarkVerifyTree$|BenchmarkCostModel$|BenchmarkEngineIteration$|BenchmarkPrefixAdmit$'
 macro='BenchmarkFigure8and9Llama$|BenchmarkFigureGrid$|BenchmarkAutoscaleGrid$|BenchmarkFaultGrid$|BenchmarkPrefixGrid$|BenchmarkTraceGrid$|BenchmarkObsOverhead$'
 
 {
   go test -run '^$' -bench "$micro" -benchmem \
     -count "${BENCH_COUNT:-1}" -benchtime "${BENCH_TIME:-1s}" .
-  go test -run '^$' -bench "$macro" -benchtime "${BENCH_MACRO_TIME:-1x}" .
+  go test -run '^$' -bench "$macro" -benchmem -benchtime "${BENCH_MACRO_TIME:-1x}" .
 } | tee /dev/stderr | go run ./scripts/benchjson -date "$date_stamp" > "$out"
 
 echo "wrote $out" >&2
