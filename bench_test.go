@@ -220,19 +220,29 @@ func benchModels(b *testing.B) (*lm.SyntheticLM, *lm.DraftLM) {
 	return target, lm.MustDraftLM("d", target, 0.88, 2)
 }
 
-// distSink keeps BenchmarkLMDist's results live.
-var distSink lm.Dist
+// Sinks keep the LM microbenchmarks' results live.
+var (
+	distSink lm.Dist
+	topSink  []lm.TokenProb
+	tokSink  lm.Token
+)
 
-// BenchmarkLMDist measures one synthetic next-token distribution, for the
-// target and the draft, cycling through a fixed set of decoding-shaped
-// contexts (distinct seeds and history windows) so no call repeats the
-// previous one's context.
-func BenchmarkLMDist(b *testing.B) {
-	target, draft := benchModels(b)
+// benchContexts is a fixed set of decoding-shaped contexts (distinct seeds
+// and history windows); the LM microbenchmarks cycle through it so no call
+// repeats the previous one's context.
+func benchContexts() []lm.Context {
 	ctxs := make([]lm.Context, 1024)
 	for i := range ctxs {
 		ctxs[i] = lm.NewContext(uint64(i/8), []lm.Token{lm.Token(i), lm.Token(i % 7), lm.Token(i % 8)})
 	}
+	return ctxs
+}
+
+// BenchmarkLMDist measures one full synthetic next-token distribution, for
+// the target and the draft.
+func BenchmarkLMDist(b *testing.B) {
+	target, draft := benchModels(b)
+	ctxs := benchContexts()
 	for _, c := range []struct {
 		name string
 		m    lm.Model
@@ -243,6 +253,27 @@ func BenchmarkLMDist(b *testing.B) {
 				distSink = m.Dist(ctxs[i%len(ctxs)])
 			}
 		})
+	}
+}
+
+// BenchmarkLMTop measures the draft's top 4 entries, what one width-4
+// beam-search node reads.
+func BenchmarkLMTop(b *testing.B) {
+	_, draft := benchModels(b)
+	ctxs := benchContexts()
+	for i := 0; i < b.N; i++ {
+		topSink = draft.Top(ctxs[i%len(ctxs)], 4)
+	}
+}
+
+// BenchmarkLMSample measures one target sample, what one sample-match
+// verification position or decode token costs.
+func BenchmarkLMSample(b *testing.B) {
+	target, _ := benchModels(b)
+	ctxs := benchContexts()
+	rng := mathutil.NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		tokSink = target.Sample(ctxs[i%len(ctxs)], rng)
 	}
 }
 

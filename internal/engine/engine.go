@@ -235,7 +235,7 @@ func (e *Engine) DecodeBatch(reqs []*request.Request) *DecodeResult {
 	kv := 0
 	for _, i := range e.orderByID(reqs) {
 		r := reqs[i]
-		res.Tokens[i] = e.target.Dist(r.Ctx).Sample(e.rng)
+		res.Tokens[i] = e.target.Sample(r.Ctx, e.rng)
 		kv += r.ContextLen() + 1
 	}
 	res.GPUTime = e.targetCost.ForwardLatency(gpu.BatchShape{
@@ -260,7 +260,7 @@ func (e *Engine) Mixed(decode []*request.Request, prefill []PrefillItem) (*Decod
 		res.Tokens = make([]lm.Token, len(decode))
 		for _, i := range e.orderByID(decode) {
 			r := decode[i]
-			res.Tokens[i] = e.target.Dist(r.Ctx).Sample(e.rng)
+			res.Tokens[i] = e.target.Sample(r.Ctx, e.rng)
 			kv += r.ContextLen() + 1
 		}
 		totalTokens += len(decode)

@@ -34,46 +34,99 @@ func walkContexts(n int, visit func(Context)) {
 	}
 }
 
-// TestDistAllocatesNothing is the allocation gate of Dist: every call on a
-// fresh context rebuilds the distribution in the model's own buffer. It
-// covers the target, a draft, and a mistaken draft over tied weights
-// (sharpness 0), whose entries are re-sorted in place.
+// TestDistAllocatesNothing is the allocation gate of Dist, Top and Sample:
+// every call on a fresh context rebuilds (a prefix of) the distribution in
+// the model's own buffer. It covers the target, a draft, and a mistaken
+// draft over tied weights (sharpness 0), whose entries are re-sorted in
+// place.
 func TestDistAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
 	}
 	target := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
 	uniform := MustSyntheticLM("u", 3, 4096, 16, 0, 0.02)
+	rng := mathutil.NewRNG(5)
 	seed := uint64(0)
 	for _, m := range []Model{
 		target,
 		MustDraftLM("d", target, 0.85, 9),
 		MustDraftLM("d0", uniform, 0, 9),
 	} {
-		allocs := testing.AllocsPerRun(200, func() {
-			seed++
-			m.Dist(Context{ReqSeed: seed})
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: Dist allocates %.1f times, want 0", m.Name(), allocs)
+		for _, c := range []struct {
+			op   string
+			call func(Context)
+		}{
+			{"Dist", func(ctx Context) { m.Dist(ctx) }},
+			{"Top", func(ctx Context) { m.Top(ctx, 4) }},
+			{"Sample", func(ctx Context) { m.Sample(ctx, rng) }},
+		} {
+			allocs := testing.AllocsPerRun(200, func() {
+				seed++
+				c.call(Context{ReqSeed: seed})
+			})
+			if allocs != 0 {
+				t.Fatalf("%s: %s allocates %.1f times, want 0", m.Name(), c.op, allocs)
+			}
 		}
 	}
 }
 
+// equivalenceModels lists the model kinds whose lazy Top and Sample must
+// match the full Dist: a strict-weight target with aligned, mistaken and
+// half-aligned drafts; a tied-weight (sharpness 0) target with a mistaken
+// draft; and a tail-heavy target on a vocabulary that is not a power of
+// two, with a mistaken draft.
+func equivalenceModels() []Model {
+	strict := MustSyntheticLM("strict", 3, 4096, 16, 3.2, 0.02)
+	uniform := MustSyntheticLM("uniform", 5, 4096, 16, 0, 0.02)
+	heavy := MustSyntheticLM("heavy", 7, 1000, 12, 1.2, 0.5)
+	return []Model{
+		strict,
+		MustDraftLM("aligned", strict, 1, 9),
+		MustDraftLM("mistaken", strict, 0, 9),
+		MustDraftLM("half", strict, 0.5, 9),
+		uniform,
+		MustDraftLM("tied", uniform, 0, 9),
+		heavy,
+		MustDraftLM("heavy-mistaken", heavy, 0, 9),
+	}
+}
+
+// TestTopAndSampleMatchDist pins the prefix-lazy paths to the full build:
+// Top(ctx, k) is Dist(ctx).Entries[:min(k, branch)] for every k, and
+// Sample(ctx, rng) returns the token Dist(ctx).Sample draws and leaves rng
+// in the same state, tail draws included.
+func TestTopAndSampleMatchDist(t *testing.T) {
+	tails := 0
+	for _, m := range equivalenceModels() {
+		rng := mathutil.NewRNG(0x5eed)
+		walkContexts(150, func(ctx Context) {
+			tails += crossCheckLazy(t, m, ctx, rng, 0)
+		})
+	}
+	if tails == 0 {
+		t.Fatal("no draw landed in the tail: the tail path went untested")
+	}
+}
+
 // TestDistSurvivesOtherModelCalls pins the lifetime contract across models:
-// a Dist stays valid until the next Dist call on the same model, so a
-// target Dist is unchanged by later draft calls, and a draft Dist by later
-// target calls, for aligned and mistaken drafts alike.
+// a Dist stays valid until the next Dist, Top or Sample call on the same
+// model, so a target Dist is unchanged by later draft calls, and a draft
+// Dist by later target calls, for aligned and mistaken drafts alike.
 func TestDistSurvivesOtherModelCalls(t *testing.T) {
 	for _, alpha := range []float64{1, 0} {
 		target := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
 		draft := MustDraftLM("d", target, alpha, 9)
 		a, b := Context{ReqSeed: 1}, Context{ReqSeed: 2}
 
+		rng := mathutil.NewRNG(3)
 		p := target.Dist(a)
 		want := own(p)
 		draft.Dist(a)
 		draft.Dist(b)
+		draft.Top(a, 4)
+		draft.Top(b, 16)
+		draft.Sample(b, rng)
 		if !distsEqual(p, want) {
 			t.Fatalf("alpha %g: target dist changed under draft calls:\n got %v\nwant %v",
 				alpha, p.Entries, want.Entries)
@@ -82,6 +135,8 @@ func TestDistSurvivesOtherModelCalls(t *testing.T) {
 		q := draft.Dist(a)
 		want = own(q)
 		target.Dist(b)
+		target.Top(b, 4)
+		target.Sample(a, rng)
 		if !distsEqual(q, want) {
 			t.Fatalf("alpha %g: draft dist changed under a target call:\n got %v\nwant %v",
 				alpha, q.Entries, want.Entries)

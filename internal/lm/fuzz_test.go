@@ -1,6 +1,7 @@
 package lm
 
 import (
+	"slices"
 	"testing"
 
 	"adaserve/internal/mathutil"
@@ -11,8 +12,10 @@ import (
 // candidate tokens, double-counting their mass on top of their explicit
 // entries. The invariants: every sampled token is in-vocabulary, a draw that
 // lands in the tail never returns a candidate token (when non-candidate
-// tokens exist), and total probability mass over the vocabulary is
-// conserved.
+// tokens exist), total probability mass over the vocabulary is conserved,
+// and the lazy Top and Sample of the model and of a draft over it (aligned,
+// half-aligned or mistaken, by seed) match the full Dist, on power-of-two
+// and other vocabularies alike.
 func FuzzDistSample(f *testing.F) {
 	// The bug's shape: a candidate set covering most of the vocabulary, so
 	// the rank-remap in sampleTail has few free tokens to land on.
@@ -35,7 +38,10 @@ func FuzzDistSample(f *testing.F) {
 			t.Fatalf("construction rejected in-range parameters: %v", err)
 		}
 		ctx := NewContext(seed^0xabcd, []Token{Token(seed % uint64(vocab))})
-		d := m.Dist(ctx)
+		draft := MustDraftLM("fuzz-draft", m, float64(seed%3)/2, seed>>2)
+		crossCheckLazy(t, draft, ctx, mathutil.NewRNG(seed+1), int(draws))
+		crossCheckLazy(t, m, ctx, mathutil.NewRNG(seed), int(draws))
+		d := own(m.Dist(ctx))
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -85,4 +91,31 @@ func FuzzDistSample(f *testing.F) {
 			}
 		}
 	})
+}
+
+// crossCheckLazy asserts that m's Top matches Dist at ctx for k in
+// -1..branch+2, and that draws+1 Sample calls return Dist.Sample's tokens
+// and leave the RNG in the same state. It returns how many draws landed in
+// the tail.
+func crossCheckLazy(t *testing.T, m Model, ctx Context, rng *mathutil.RNG, draws int) (tails int) {
+	t.Helper()
+	want := own(m.Dist(ctx))
+	for k := -1; k <= len(want.Entries)+2; k++ {
+		n := max(0, min(k, len(want.Entries)))
+		if got := m.Top(ctx, k); !slices.Equal(got, want.Entries[:n]) {
+			t.Fatalf("%s: Top(%d) at ctx %+v = %v, want %v", m.Name(), k, ctx, got, want.Entries[:n])
+		}
+	}
+	for i := 0; i <= draws; i++ {
+		ref := *rng
+		got := m.Sample(ctx, rng)
+		if tok := want.Sample(&ref); got != tok || *rng != ref {
+			t.Fatalf("%s: Sample at ctx %+v drew %d, Dist.Sample %d (rng states equal: %v)",
+				m.Name(), ctx, got, tok, *rng == ref)
+		}
+		if !slices.ContainsFunc(want.Entries, func(e TokenProb) bool { return e.Token == got }) {
+			tails++
+		}
+	}
+	return tails
 }

@@ -19,17 +19,30 @@
 // experiments replay exactly.
 //
 // Hot-path design: the next-token distribution is a pure function of the
-// 64-bit context hash, so each Dist call rebuilds it from that hash into one
-// entry buffer the model owns. Nothing is memoized (a memo in front of Dist
-// almost never hit: beam search and verification rarely revisit a context)
-// and no call allocates. The price is a one-call lifetime: a Dist returned by
-// a model stays valid until the next Dist call on the same model. A draft
-// builds its distribution in its own buffer, so draft calls never invalidate
-// a target Dist, nor the reverse. Context itself is a small value type
-// carrying only the HistoryWindow-sized suffix that conditions the
-// distribution, so extending a context allocates nothing. Models are NOT
-// safe for concurrent use: give each goroutine its own engine/models, as the
-// parallel experiment runner does.
+// 64-bit context hash, so each call rebuilds it from that hash into one
+// entry buffer the model owns. Nothing is memoized (a memo almost never hit:
+// beam search and verification rarely revisit a context) and no call
+// allocates. Consumers rarely read all of it, and the build is lazy by rank:
+//
+//   - Candidates are drawn from the hash stream in order and each is deduped
+//     only against earlier draws, so the first k entries do not depend on
+//     how many are built. Top(ctx, k) builds just those k, which is all a
+//     width-w beam or a top-k expansion reads.
+//   - Entry probabilities are the per-rank weights, the same for every
+//     context, so a sample's rank follows from the uniform draw and a
+//     cumulative-weight table before any token is drawn. Sample builds the
+//     candidates up to that rank only (all of them for a tail draw).
+//
+// Both return exactly what the full Dist would and consume the RNG the same
+// way, so callers may mix the three freely without changing a simulated
+// byte. The price is a one-call lifetime: a result returned by a model stays
+// valid until the next Dist, Top or Sample call on the same model. A draft
+// builds into its own buffer, so draft calls never invalidate a target
+// result, nor the reverse. Context itself is a small value type carrying
+// only the HistoryWindow-sized suffix that conditions the distribution, so
+// extending a context allocates nothing. Models are NOT safe for concurrent
+// use: give each goroutine its own engine/models, as the parallel experiment
+// runner does.
 package lm
 
 import (
@@ -52,10 +65,10 @@ type TokenProb struct {
 // vocabulary. Entries are sorted by descending probability.
 //
 // The Entries of a model-returned Dist live in a buffer owned by that model:
-// treat them as read-only, and as valid only until the next Dist call on the
-// same model, which refills the buffer in place. Calls on other models (a
-// draft and its target included) leave it alone. Copy what must outlive
-// that, e.g. via TopK.
+// treat them as read-only, and as valid only until the next Dist, Top or
+// Sample call on the same model, which refills the buffer in place. Calls on
+// other models (a draft and its target included) leave it alone. Copy what
+// must outlive that.
 type Dist struct {
 	Entries []TokenProb
 	// Tail is the probability mass not covered by Entries.
@@ -97,16 +110,6 @@ func (d Dist) Prob(tok Token) float64 {
 		return 0
 	}
 	return d.Tail / float64(d.Vocab-len(d.Entries))
-}
-
-// TopK returns up to k highest-probability entries.
-func (d Dist) TopK(k int) []TokenProb {
-	if k > len(d.Entries) {
-		k = len(d.Entries)
-	}
-	out := make([]TokenProb, k)
-	copy(out, d.Entries[:k])
-	return out
 }
 
 // Argmax returns the most likely token.
@@ -228,10 +231,18 @@ func (c Context) hash(salt uint64) uint64 {
 	return h
 }
 
-// Model is a synthetic autoregressive language model.
+// Model is a synthetic autoregressive language model. Results of Dist, Top
+// and Sample share the model's buffer: each is valid until the next of these
+// calls on the same model.
 type Model interface {
 	// Dist returns the next-token distribution for ctx.
 	Dist(ctx Context) Dist
+	// Top returns Dist(ctx).Entries[:min(k, len)], the k most likely
+	// entries, building no lower rank.
+	Top(ctx Context, k int) []TokenProb
+	// Sample returns Dist(ctx).Sample(rng) and consumes rng exactly as that
+	// call would.
+	Sample(ctx Context, rng *mathutil.RNG) Token
 	// Vocab returns the vocabulary size.
 	Vocab() int
 	// Name identifies the model in logs and metrics.
@@ -251,11 +262,20 @@ type SyntheticLM struct {
 	weights []float64
 	// tail is the mass reserved outside the candidate set.
 	tail float64
+	// cum holds the running sums of weights, accumulated in rank order as
+	// Dist.Sample does, so Sample finds a draw's rank without any tokens.
+	cum []float64
 	// strictOrder reports that weights are strictly decreasing, which lets
 	// DraftLM rebuild mistaken distributions by swapping token positions
 	// instead of sorting.
 	strictOrder bool
-	// buf is the entry buffer every Dist call refills.
+	// mask is vocab-1 when vocab is a power of two (reducing a hash by it
+	// equals reducing modulo vocab, without a divide), else 0.
+	mask uint64
+	// seen is a vocab-bit set that dedups candidate draws; candidates
+	// clears the words it set before returning.
+	seen []uint64
+	// buf is the entry buffer every Dist, Top and Sample call refills.
 	buf []TokenProb
 }
 
@@ -278,6 +298,12 @@ func NewSyntheticLM(name string, seed uint64, vocab, branch int, sharpness, tail
 	for i := range w {
 		w[i] *= 1 - tail
 	}
+	cum := make([]float64, len(w))
+	var acc float64
+	for i := range w {
+		acc += w[i]
+		cum[i] = acc
+	}
 	strict := true
 	for i := 1; i < len(w); i++ {
 		if w[i] >= w[i-1] {
@@ -285,10 +311,15 @@ func NewSyntheticLM(name string, seed uint64, vocab, branch int, sharpness, tail
 			break
 		}
 	}
+	var mask uint64
+	if vocab&(vocab-1) == 0 {
+		mask = uint64(vocab - 1)
+	}
 	return &SyntheticLM{
 		name: name, seed: seed, vocab: vocab, branch: branch,
-		weights: w, tail: tail, strictOrder: strict,
-		buf: make([]TokenProb, 0, branch),
+		weights: w, cum: cum, tail: tail, strictOrder: strict, mask: mask,
+		seen: make([]uint64, (vocab+63)/64),
+		buf:  make([]TokenProb, 0, branch),
 	}, nil
 }
 
@@ -312,31 +343,58 @@ func (m *SyntheticLM) Vocab() int { return m.vocab }
 // deterministic function of (model seed, request seed, history window).
 // It refills the model's entry buffer and allocates nothing.
 func (m *SyntheticLM) Dist(ctx Context) Dist {
-	m.buf = m.candidates(m.buf, ctx.hash(m.seed))
-	return Dist{Entries: m.buf, Tail: m.tail, Vocab: m.vocab}
+	return Dist{Entries: m.Top(ctx, m.branch), Tail: m.tail, Vocab: m.vocab}
 }
 
-// candidates refills dst, reusing its storage, with the entries of the
-// distribution for context hash h: branch distinct tokens drawn from the
-// hash stream, weighted in draw order. Dedup is a linear scan (branch is
-// small), not a map.
-func (m *SyntheticLM) candidates(dst []TokenProb, h uint64) []TokenProb {
+// Top implements Model by building only the first k candidates, which are
+// a prefix of the full candidate list.
+func (m *SyntheticLM) Top(ctx Context, k int) []TokenProb {
+	m.buf = m.candidates(m.buf, ctx.hash(m.seed), k)
+	return m.buf
+}
+
+// Sample implements Model. It draws u first, as Dist.Sample does, reads the
+// rank u falls in from the cumulative weights, and builds the candidates up
+// to that rank only; a tail draw builds them all for sampleTail.
+func (m *SyntheticLM) Sample(ctx Context, rng *mathutil.RNG) Token {
+	u := rng.Float64()
+	h := ctx.hash(m.seed)
+	for r, c := range m.cum {
+		if u < c {
+			m.buf = m.candidates(m.buf, h, r+1)
+			return m.buf[r].Token
+		}
+	}
+	m.buf = m.candidates(m.buf, h, m.branch)
+	return Dist{Entries: m.buf, Tail: m.tail, Vocab: m.vocab}.sampleTail(rng)
+}
+
+// candidates refills dst, reusing its storage, with the first min(n, branch)
+// entries of the distribution for context hash h: distinct tokens drawn
+// from the hash stream, weighted in draw order. Each draw is deduped only
+// against earlier ones, so the result for any n is a prefix of the full
+// list.
+func (m *SyntheticLM) candidates(dst []TokenProb, h uint64, n int) []TokenProb {
+	n = min(n, m.branch)
 	dst = dst[:0]
 	x := h
-	for len(dst) < m.branch {
+	for len(dst) < n {
 		x = mathutil.SplitMix64(x)
-		tok := Token(x % uint64(m.vocab))
-		dup := false
-		for i := range dst {
-			if dst[i].Token == tok {
-				dup = true
-				break
-			}
+		var v uint64
+		if m.mask != 0 {
+			v = x & m.mask
+		} else {
+			v = x % uint64(m.vocab)
 		}
-		if dup {
+		word, bit := &m.seen[v>>6], uint64(1)<<(v&63)
+		if *word&bit != 0 {
 			continue
 		}
-		dst = append(dst, TokenProb{Token: tok, Prob: m.weights[len(dst)]})
+		*word |= bit
+		dst = append(dst, TokenProb{Token: Token(v), Prob: m.weights[len(dst)]})
+	}
+	for _, e := range dst {
+		m.seen[e.Token>>6] = 0
 	}
 	return dst
 }
@@ -364,8 +422,9 @@ type DraftLM struct {
 	target *SyntheticLM
 	alpha  float64
 	seed   uint64
-	// buf is the draft's own entry buffer, refilled by every Dist call (never
-	// the target's, so draft calls leave target distributions intact).
+	// buf is the draft's own entry buffer, refilled by every Dist, Top and
+	// Sample call (never the target's, so draft calls leave target results
+	// intact).
 	buf []TokenProb
 }
 
@@ -404,34 +463,50 @@ func (d *DraftLM) Alpha() float64 { return d.alpha }
 // mistaken at ctx; it never calls the target and allocates nothing.
 func (d *DraftLM) Dist(ctx Context) Dist {
 	t := d.target
-	d.buf = t.candidates(d.buf, ctx.hash(t.seed))
-	hd := ctx.hash(d.seed)
-	if u := float64(hd>>11) / (1 << 53); u >= d.alpha && len(d.buf) >= 2 {
-		d.mistake(d.buf, hd)
-	}
-	return Dist{Entries: d.buf, Tail: t.tail, Vocab: t.vocab}
+	return Dist{Entries: d.Top(ctx, t.branch), Tail: t.tail, Vocab: t.vocab}
 }
 
-// mistake turns the target entries e into a mistaken draft distribution in
-// place: the top token's probability is swapped with that of a lower-ranked
-// candidate (rank drawn from the draft hash hd, biased toward nearby ranks —
-// distilled drafts are near-misses far more often than wildly wrong, which
-// is what makes width-w tree speculation able to recover where sequence
-// speculation stalls), and the entries are re-sorted by (probability desc,
-// token asc).
-func (d *DraftLM) mistake(e []TokenProb, hd uint64) {
-	j := disagreeRank(mathutil.SplitMix64(hd), len(e)-1)
-	if d.target.strictOrder {
-		// With strictly decreasing weights, swapping the probabilities at
-		// ranks 0 and j and re-sorting is exactly a swap of the two tokens'
-		// positions (probabilities stay the rank-ordered weights).
-		e[0].Token, e[j].Token = e[j].Token, e[0].Token
-		return
+// Top implements Model. Where the draft is aligned it builds the target's
+// first k candidates. Where it is mistaken, its top token is swapped with
+// that of a lower-ranked candidate j (drawn from the draft hash, biased
+// toward nearby ranks: distilled drafts are near-misses far more often than
+// wildly wrong, which is what makes width-w tree speculation able to recover
+// where sequence speculation stalls). With strictly decreasing weights that
+// is a swap of token positions 0 and j, so max(k, j+1) candidates suffice;
+// tied weights need every candidate re-sorted.
+func (d *DraftLM) Top(ctx Context, k int) []TokenProb {
+	t := d.target
+	k = max(0, min(k, t.branch))
+	h, hd := ctx.hash(t.seed), ctx.hash(d.seed)
+	if u := float64(hd>>11) / (1 << 53); u < d.alpha || t.branch < 2 {
+		d.buf = t.candidates(d.buf, h, k)
+		return d.buf
 	}
-	// Tied weights: equal-probability candidates sit in hash order, so more
-	// than ranks 0 and j may move. Candidate tokens are distinct, which makes
-	// (probability desc, token asc) a total order: an in-place insertion sort
-	// gives the one sorted result without allocating.
+	j := disagreeRank(mathutil.SplitMix64(hd), t.branch-1)
+	if t.strictOrder {
+		// Swapping the probabilities at ranks 0 and j and re-sorting is
+		// exactly a swap of the two tokens' positions (probabilities stay
+		// the rank-ordered weights).
+		d.buf = t.candidates(d.buf, h, max(k, j+1))
+		d.buf[0].Token, d.buf[j].Token = d.buf[j].Token, d.buf[0].Token
+		return d.buf[:k]
+	}
+	d.buf = t.candidates(d.buf, h, t.branch)
+	swapResort(d.buf, j)
+	return d.buf[:k]
+}
+
+// Sample implements Model by sampling the draft's full distribution.
+func (d *DraftLM) Sample(ctx Context, rng *mathutil.RNG) Token {
+	return d.Dist(ctx).Sample(rng)
+}
+
+// swapResort swaps the probabilities at ranks 0 and j of e and re-sorts the
+// entries by (probability desc, token asc) in place. Under tied weights,
+// equal-probability candidates sit in hash order, so more than ranks 0 and j
+// may move. Candidate tokens are distinct, which makes that order total: an
+// in-place insertion sort gives the one sorted result without allocating.
+func swapResort(e []TokenProb, j int) {
 	e[0].Prob, e[j].Prob = e[j].Prob, e[0].Prob
 	for i := 1; i < len(e); i++ {
 		for k := i; k > 0 && ranksBefore(e[k], e[k-1]); k-- {

@@ -121,19 +121,20 @@ func TestHistoryWindowLimits(t *testing.T) {
 
 func TestDistProbAndTopK(t *testing.T) {
 	m := newTarget(t)
-	d := m.Dist(Context{ReqSeed: 3})
-	top := d.TopK(4)
+	ctx := Context{ReqSeed: 3}
+	d := own(m.Dist(ctx))
+	top := m.Top(ctx, 4)
 	if len(top) != 4 {
-		t.Fatalf("TopK(4) returned %d entries", len(top))
+		t.Fatalf("Top(4) returned %d entries", len(top))
 	}
 	if top[0].Token != d.Argmax() {
-		t.Fatal("TopK[0] != Argmax")
+		t.Fatal("Top[0] != Argmax")
 	}
 	if got := d.Prob(top[0].Token); got != top[0].Prob {
 		t.Fatalf("Prob(top) = %g, want %g", got, top[0].Prob)
 	}
-	if d.TopK(100)[0] != top[0] {
-		t.Fatal("oversized TopK should clip")
+	if got := m.Top(ctx, 100); len(got) != len(d.Entries) || got[0] != d.Entries[0] {
+		t.Fatal("oversized Top should clip")
 	}
 	// Tail token probability is tiny but nonzero.
 	var missing Token
@@ -284,7 +285,7 @@ func TestDraftMistakesAreNearMisses(t *testing.T) {
 		p := target.Dist(ctx)
 		q := draft.Dist(ctx)
 		// The target's argmax should usually be within the draft's top 3.
-		for _, e := range q.TopK(3) {
+		for _, e := range q.Entries[:3] {
 			if e.Token == p.Argmax() {
 				nearMiss++
 				break

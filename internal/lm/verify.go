@@ -78,10 +78,9 @@ type Branch struct {
 // target mass), so callers should order branches by descending draft
 // probability, as AdaServe's selection phases do.
 func (v *Verifier) AcceptAmong(ctx Context, branches []Branch) (int, Token) {
-	p := v.Target.Dist(ctx)
 	switch v.Rule {
 	case RuleGreedy:
-		top := p.Argmax()
+		top := Dist{Entries: v.Target.Top(ctx, 1)}.Argmax()
 		for i, b := range branches {
 			if b.Token == top {
 				return i, 0
@@ -89,7 +88,7 @@ func (v *Verifier) AcceptAmong(ctx Context, branches []Branch) (int, Token) {
 		}
 		return -1, top
 	case RuleSampleMatch:
-		y := p.Sample(v.RNG)
+		y := v.Target.Sample(ctx, v.RNG)
 		for i, b := range branches {
 			if b.Token == y {
 				return i, 0
@@ -97,7 +96,7 @@ func (v *Verifier) AcceptAmong(ctx Context, branches []Branch) (int, Token) {
 		}
 		return -1, y
 	case RuleRejection:
-		return v.acceptRejection(ctx, p, branches)
+		return v.acceptRejection(ctx, v.Target.Dist(ctx), branches)
 	default:
 		panic(fmt.Sprintf("lm: unknown verify rule %d", int(v.Rule)))
 	}

@@ -54,21 +54,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Stddev returns the population standard deviation of xs, or 0 when
-// len(xs) < 2.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using the
 // linear-interpolation-between-closest-ranks rule: the sorted slice is
 // treated as n−1 equal intervals, the target rank is p/100·(n−1), and the
@@ -168,34 +153,4 @@ func Normalize(xs []float64) []float64 {
 		xs[i] /= s
 	}
 	return xs
-}
-
-// CumSum returns the cumulative sums of xs (same length).
-func CumSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var acc float64
-	for i, x := range xs {
-		acc += x
-		out[i] = acc
-	}
-	return out
-}
-
-// SampleDiscrete draws an index from the discrete distribution given by
-// weights (need not be normalized) using u in [0,1). It returns the last
-// index if rounding pushes u past the total.
-func SampleDiscrete(weights []float64, u float64) int {
-	total := Sum(weights)
-	if total <= 0 || len(weights) == 0 {
-		return 0
-	}
-	target := u * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if target < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -56,12 +56,12 @@ func TestMeanAndSum(t *testing.T) {
 }
 
 func TestStddev(t *testing.T) {
-	if Stddev([]float64{5}) != 0 {
-		t.Error("Stddev of singleton should be 0")
+	if stddev([]float64{5}) != 0 {
+		t.Error("stddev of singleton should be 0")
 	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	got := stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if math.Abs(got-2) > 1e-9 {
-		t.Errorf("Stddev = %g, want 2", got)
+		t.Errorf("stddev = %g, want 2", got)
 	}
 }
 
@@ -209,27 +209,27 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestCumSum(t *testing.T) {
-	got := CumSum([]float64{1, 2, 3})
+	got := cumSum([]float64{1, 2, 3})
 	want := []float64{1, 3, 6}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("CumSum = %v", got)
+			t.Fatalf("cumSum = %v", got)
 		}
 	}
 }
 
 func TestSampleDiscrete(t *testing.T) {
 	w := []float64{0.5, 0.3, 0.2}
-	if SampleDiscrete(w, 0.0) != 0 {
+	if sampleDiscrete(w, 0.0) != 0 {
 		t.Error("u=0 should pick index 0")
 	}
-	if SampleDiscrete(w, 0.6) != 1 {
+	if sampleDiscrete(w, 0.6) != 1 {
 		t.Error("u=0.6 should pick index 1")
 	}
-	if SampleDiscrete(w, 0.99) != 2 {
+	if sampleDiscrete(w, 0.99) != 2 {
 		t.Error("u=0.99 should pick index 2")
 	}
-	if SampleDiscrete(nil, 0.5) != 0 {
+	if sampleDiscrete(nil, 0.5) != 0 {
 		t.Error("empty weights should return 0")
 	}
 }
@@ -240,10 +240,55 @@ func TestSampleDiscreteDistribution(t *testing.T) {
 	counts := [2]int{}
 	const n = 100000
 	for i := 0; i < n; i++ {
-		counts[SampleDiscrete(w, r.Float64())]++
+		counts[sampleDiscrete(w, r.Float64())]++
 	}
 	frac := float64(counts[1]) / n
 	if frac < 0.74 || frac > 0.76 {
 		t.Fatalf("weight-3 index drawn %.3f of the time, want ~0.75", frac)
 	}
+}
+
+// stddev returns the population standard deviation of xs, or 0 when
+// len(xs) < 2.
+func stddev(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	var s float64
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(xs)))
+}
+
+// cumSum returns the cumulative sums of xs (same length).
+func cumSum(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	var acc float64
+	for i, x := range xs {
+		acc += x
+		out[i] = acc
+	}
+	return out
+}
+
+// sampleDiscrete draws an index from the discrete distribution given by
+// weights (need not be normalized) using u in [0,1). It returns the last
+// index if rounding pushes u past the total.
+func sampleDiscrete(weights []float64, u float64) int {
+	total := Sum(weights)
+	if total <= 0 || len(weights) == 0 {
+		return 0
+	}
+	target := u * total
+	var acc float64
+	for i, w := range weights {
+		acc += w
+		if target < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
 }

@@ -94,10 +94,11 @@ func (t *lazyDraftTree) Children(id int) []int {
 	if !n.expanded {
 		n.expanded = true
 		t.expansions++
-		dist := t.draft.Dist(n.ctx)
 		parentProb := n.pathProb
 		parentCtx := n.ctx
-		for _, e := range dist.TopK(t.topK) {
+		// Top's entries live in the draft's buffer; each is copied into a
+		// lazyNode before any other draft call.
+		for _, e := range t.draft.Top(parentCtx, t.topK) {
 			child := lazyNode{
 				ctx:      parentCtx.Extend(e.Token),
 				tok:      e.Token,

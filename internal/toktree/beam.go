@@ -92,13 +92,8 @@ func (bb *BeamBuilder) Search(t *Tree, draft lm.Model, d, w int) (steps, draftTo
 		bb.cands = bb.cands[:0]
 		for _, be := range bb.beam {
 			draftTokens++
-			dist := draft.Dist(be.ctx)
 			parentPath := t.Nodes[be.nodeID].PathProb
-			top := dist.Entries
-			if len(top) > w {
-				top = top[:w]
-			}
-			for _, e := range top {
+			for _, e := range draft.Top(be.ctx, w) {
 				bb.cands = append(bb.cands, beamCand{
 					parentID: be.nodeID, parentCtx: be.ctx, tok: e.Token,
 					draftProb: e.Prob, pathProb: parentPath * e.Prob,

@@ -93,7 +93,7 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := draft.Dist(ctx).TopK(3)
+	top := draft.Top(ctx, 3)
 	var level1 []lm.Token
 	for _, n := range br.Tree.Nodes[1:] {
 		if n.Depth == 1 {
@@ -163,7 +163,7 @@ func TestTheorem41(t *testing.T) {
 		selected := []node{{ctx: ctx, f: 1}}
 		frontier := []node{}
 		expand := func(n node) {
-			for _, e := range draft.Dist(n.ctx).TopK(16) {
+			for _, e := range draft.Top(n.ctx, 16) {
 				frontier = append(frontier, node{
 					ctx:  n.ctx.Extend(e.Token),
 					path: append(append([]lm.Token(nil), n.path...), e.Token),

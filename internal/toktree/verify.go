@@ -91,9 +91,8 @@ func VerifyInto(res *VerifyResult, sel *Selection, v *lm.Verifier, sc *VerifyScr
 // accepted path. Under the greedy rule it is the argmax; under the
 // stochastic rule it is a sample.
 func bonusToken(v *lm.Verifier, ctx lm.Context) lm.Token {
-	dist := v.Target.Dist(ctx)
 	if v.Rule == lm.RuleGreedy {
-		return dist.Argmax()
+		return lm.Dist{Entries: v.Target.Top(ctx, 1)}.Argmax()
 	}
-	return dist.Sample(v.RNG)
+	return v.Target.Sample(ctx, v.RNG)
 }

@@ -31,6 +31,15 @@ func (m chainLM) Dist(ctx lm.Context) lm.Dist {
 	}
 }
 
+func (m chainLM) Top(ctx lm.Context, k int) []lm.TokenProb {
+	e := m.Dist(ctx).Entries
+	return e[:max(0, min(k, len(e)))]
+}
+
+func (m chainLM) Sample(ctx lm.Context, rng *mathutil.RNG) lm.Token {
+	return m.Dist(ctx).Sample(rng)
+}
+
 // greedyVerifier builds a verifier over chainLM with the deterministic rule.
 func greedyVerifier() *lm.Verifier {
 	return lm.NewVerifier(chainLM{vocab: 256}, nil, lm.RuleGreedy, mathutil.NewRNG(1))

@@ -292,9 +292,13 @@ func TestNewSpecSource(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	src, err := NewSpecSource(s, CompileOptions{BaselineLatency: 0.02, Duration: 10})
+	tr, err := Compile(s, CompileOptions{BaselineLatency: 0.02, Duration: 10})
 	if err != nil {
-		t.Fatalf("NewSpecSource: %v", err)
+		t.Fatalf("Compile: %v", err)
+	}
+	src, err := NewSource(tr)
+	if err != nil {
+		t.Fatalf("NewSource: %v", err)
 	}
 	last := 0.0
 	n := 0
